@@ -1,21 +1,13 @@
-//! E25 — memory layout and grain size on the native hot path: the
-//! cache-packed pivot tree raced against the pre-packing five-array
-//! layout, the analytical cache-lines-touched ledger behind that race,
-//! the block-grain sweep of WAT claim traffic, and the arena-reuse
+//! E25 — grain size and storage reuse on the native hot path: the
+//! block-grain sweep of WAT claim traffic and the arena-reuse
 //! amortization, persisted as the schema-stable `BENCH_layout.json`
 //! perf artifact.
 //!
-//! The packed [`wfsort_native::SharedTree`] shrinks each node's five
-//! shared words (small/big child, size, place, place-done flag) to two
-//! `u32` child arrays (16 nodes per cache line, double the legacy
-//! density) plus one 16-byte meta cell, so a place visit touches three
-//! cache lines where the old parallel-array layout touched five — while
-//! keeping the side-select a predictable branch so descents stay
-//! latency-matched with legacy (see DESIGN.md §10 for the rejected
-//! drafts that lost exactly there). The legacy layout
-//! survives behind the `legacy-layout` feature
-//! precisely so this experiment (and the differential tests) can keep
-//! measuring the claim instead of asserting it from memory.
+//! The packed-vs-legacy pivot-tree race this binary used to run (E25a)
+//! and its cache-line ledger (E25b) were retired with the legacy layout
+//! once the packed [`wfsort_native::SharedTree`] had won the comparison
+//! (EXPERIMENTS.md E25 keeps the recorded table; DESIGN.md §10 the
+//! rationale).
 //!
 //! Run: `cargo run --release -p bench --bin e25_layout_bench`
 //! CI smoke: `... e25_layout_bench -- --quick`
@@ -29,65 +21,7 @@ use std::process::ExitCode;
 use bench::json::LAYOUT_SCHEMA;
 use bench::{f2, timed, validate_layout_bench, write_artifact, Table};
 use prng::Prng;
-use wfsort_native::{
-    recommended_grain, LegacySharedTree, NativeAllocation, SortArena, SortJob, WaitFreeSorter,
-};
-
-/// The swept input shapes (the E24 trio; degenerate spines excluded for
-/// the same reason — they measure tree depth, not memory layout).
-fn shapes(n: usize) -> Vec<(&'static str, Vec<u64>)> {
-    let mut rng = Prng::seed_from_u64(25);
-    let uniform: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-    let few: Vec<u64> = (0..n).map(|_| rng.gen_range(0..64)).collect();
-    let sawtooth: Vec<u64> = (0..n).map(|i| (i % 1009) as u64).collect();
-    vec![
-        ("uniform-random", uniform),
-        ("few-distinct", few),
-        ("sawtooth", sawtooth),
-    ]
-}
-
-/// Best-of-`repeats` wall time for sorting `keys` on `threads` threads
-/// with the packed layout. Returns (best seconds, output matched).
-fn time_packed(keys: &[u64], expect: &[u64], threads: usize, repeats: usize) -> (f64, bool) {
-    let sorter = WaitFreeSorter::new(threads);
-    let grain = recommended_grain(keys.len(), threads);
-    let mut best = f64::INFINITY;
-    let mut ok = true;
-    for _ in 0..repeats {
-        let job = SortJob::with_grain(
-            keys.to_vec(),
-            NativeAllocation::Deterministic,
-            threads,
-            grain,
-        );
-        let (_, secs) = timed(|| sorter.run_job(&job));
-        ok &= job.into_sorted() == expect;
-        best = best.min(secs);
-    }
-    (best, ok)
-}
-
-/// Same measurement against the five-parallel-array legacy tree. The
-/// grain matches the packed run so the only variable is memory layout.
-fn time_legacy(keys: &[u64], expect: &[u64], threads: usize, repeats: usize) -> (f64, bool) {
-    let sorter = WaitFreeSorter::new(threads);
-    let grain = recommended_grain(keys.len(), threads);
-    let mut best = f64::INFINITY;
-    let mut ok = true;
-    for _ in 0..repeats {
-        let job = SortJob::<u64, LegacySharedTree>::with_layout(
-            keys.to_vec(),
-            NativeAllocation::Deterministic,
-            threads,
-            grain,
-        );
-        let (_, secs) = timed(|| sorter.run_job(&job));
-        ok &= job.into_sorted() == expect;
-        best = best.min(secs);
-    }
-    (best, ok)
-}
+use wfsort_native::{recommended_grain, NativeAllocation, SortArena, SortJob, WaitFreeSorter};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
@@ -119,117 +53,6 @@ fn main() -> ExitCode {
     }
 
     let quick = args.iter().any(|a| a == "--quick");
-    let n = if quick { 20_000 } else { 100_000 };
-    let thread_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
-    let repeats = if quick { 3 } else { 5 };
-
-    // E25a — packed vs legacy throughput. Same keys, same thread count,
-    // same grain; only the node layout differs.
-    let mut throughput = Vec::new();
-    let mut a = Table::new(&["shape", "threads", "packed ms", "legacy ms", "speedup"]);
-    let mut packed_losses = 0usize;
-    for (shape, keys) in shapes(n) {
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        for &threads in thread_counts {
-            let (packed, packed_ok) = time_packed(&keys, &expect, threads, repeats);
-            let (legacy, legacy_ok) = time_legacy(&keys, &expect, threads, repeats);
-            assert!(packed_ok, "packed output unsorted at {threads}x{shape}");
-            assert!(legacy_ok, "legacy output unsorted at {threads}x{shape}");
-            let speedup = legacy / packed;
-            if speedup < 1.0 {
-                packed_losses += 1;
-            }
-            a.row(vec![
-                shape.into(),
-                threads.to_string(),
-                f2(packed * 1e3),
-                f2(legacy * 1e3),
-                format!("{speedup:.2}x"),
-            ]);
-            throughput.push(format!(
-                concat!(
-                    "{{\"shape\":\"{}\",\"n\":{},\"threads\":{},",
-                    "\"packed_ms\":{:.3},\"legacy_ms\":{:.3},\"speedup\":{:.3},",
-                    "\"packed_sorted\":true,\"legacy_sorted\":true}}"
-                ),
-                shape,
-                n,
-                threads,
-                packed * 1e3,
-                legacy * 1e3,
-                speedup,
-            ));
-        }
-    }
-    a.print(&format!(
-        "E25a: packed vs legacy node layout at N = {n} (best of {repeats}; \
-         speedup = legacy/packed)"
-    ));
-    if packed_losses > 0 {
-        eprintln!(
-            "warning: packed slower than legacy on {packed_losses} \
-             shape/thread points — expect noise on a loaded host; rerun \
-             with more repeats before drawing conclusions"
-        );
-    }
-
-    // E25b — the analytical ledger: cache lines touched per traversal
-    // step. The per-phase operation counts are layout-independent (the
-    // differential tests in tests/layout_parity.rs pin this), so one
-    // instrumented packed run provides the step counts and the
-    // lines-per-step factors follow from the two layouts' geometry:
-    //
-    //   build descent: 1 line/step either way (one probe into small[]
-    //     or big[]) — though the packed arrays are half the footprint
-    //     (4 bytes/node per side vs 8, 16 nodes per line instead of 8),
-    //     which the estimate does not credit;
-    //   sum visit: packed 3 (small[], big[], meta cell), legacy 3
-    //     (small[], big[], size[]) — the density, not the line count,
-    //     is the packed win here;
-    //   place visit: packed 3 (the meta cell covers size, place, and
-    //     the folded done bit in one line), legacy 5 (small[], big[],
-    //     size[], place[], place_done[]).
-    let n_ledger = 4096;
-    let (shape, keys) = shapes(n_ledger).swap_remove(0);
-    let job = SortJob::with_grain(keys.clone(), NativeAllocation::Deterministic, 1, 1);
-    let report = WaitFreeSorter::new(1).run_job_with_report(&job);
-    {
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        assert_eq!(job.into_sorted(), expect, "ledger run unsorted");
-    }
-    let p = &report.per_phase;
-    let mut cache_lines = Vec::new();
-    let mut b = Table::new(&["phase", "steps", "packed lines", "legacy lines", "ratio"]);
-    for (phase, steps, packed_per, legacy_per) in [
-        ("build", p.build.descent_steps, 1u64, 1u64),
-        ("sum", p.sum.visits, 3, 3),
-        ("place", p.place.visits, 3, 5),
-    ] {
-        let packed_lines = steps * packed_per;
-        let legacy_lines = steps * legacy_per;
-        b.row(vec![
-            phase.into(),
-            steps.to_string(),
-            packed_lines.to_string(),
-            legacy_lines.to_string(),
-            format!("{:.1}x", legacy_lines as f64 / packed_lines.max(1) as f64),
-        ]);
-        cache_lines.push(format!(
-            concat!(
-                "{{\"phase\":\"{}\",\"n\":{},",
-                "\"packed_lines_per_step\":{},\"legacy_lines_per_step\":{},",
-                "\"packed_lines\":{},\"legacy_lines\":{}}}"
-            ),
-            phase, n_ledger, packed_per, legacy_per, packed_lines, legacy_lines,
-        ));
-    }
-    b.print(&format!(
-        "E25b: estimated cache lines touched per phase on {shape} keys, \
-         N = {n_ledger} (step counts measured, lines/step from layout \
-         geometry)"
-    ));
 
     // E25c — grain sweep: block-grained work assignment shrinks the WAT
     // claim traffic by ~B while per-element claims stay put. Single
@@ -325,7 +148,7 @@ fn main() -> ExitCode {
     // each round vs recycling one SortArena.
     let n_arena = if quick { 4096 } else { 20_000 };
     let rounds = if quick { 8 } else { 12 };
-    let sorter = WaitFreeSorter::new(thread_counts[thread_counts.len() - 1]);
+    let sorter = WaitFreeSorter::new(if quick { 2 } else { 4 });
     let arena_keys: Vec<Vec<u64>> = (0..rounds)
         .map(|r| {
             let mut rng = Prng::seed_from_u64(4200 + r as u64);
@@ -374,12 +197,8 @@ fn main() -> ExitCode {
     let artifact = format!(
         "{{\"schema\":\"{LAYOUT_SCHEMA}\",\"experiment\":\"e25_layout_bench\",\
          \"quick\":{quick},\
-         \"throughput\":[\n{}\n],\
-         \"cache_lines\":[\n{}\n],\
          \"grain_sweep\":[\n{}\n],\
          \"arena\":[\n{}\n]}}\n",
-        throughput.join(",\n"),
-        cache_lines.join(",\n"),
         grain_sweep.join(",\n"),
         arena_json,
     );
@@ -412,15 +231,12 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "\nPaper tie-in (§3): the pivot tree is the algorithm's one shared \
-         data structure; halving the child arrays and folding the three \
-         traversal words into one cell cuts the place traversal's line \
-         count 5-to-3 and doubles descent-array density by geometry, \
-         and block-grained work assignment divides the WAT claim CAS \
-         traffic by the grain while leaving the paper's per-element \
-         operation counts — and the PRAM-parity pins built on them — \
-         untouched. Timings above are from a single shared host; the \
-         deterministic counter columns are the load-bearing ones."
+        "\nPaper tie-in (§3): block-grained work assignment divides the \
+         WAT claim CAS traffic by the grain while leaving the paper's \
+         per-element operation counts — and the PRAM-parity pins built \
+         on them — untouched. Timings above are from a single shared \
+         host; the deterministic counter columns are the load-bearing \
+         ones."
     );
     ExitCode::SUCCESS
 }

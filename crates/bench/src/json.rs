@@ -367,23 +367,20 @@ pub fn validate_native_metrics(text: &str) -> Result<usize, String> {
     Ok(runs.len())
 }
 
-/// The schema tag `e25_layout_bench` writes.
-pub const LAYOUT_SCHEMA: &str = "wfsort-native-layout/v1";
+/// The schema tag `e25_layout_bench` writes. v2 dropped the
+/// packed-vs-legacy `throughput` and `cache_lines` sections along with
+/// the legacy layout; v1 documents are rejected.
+pub const LAYOUT_SCHEMA: &str = "wfsort-native-layout/v2";
 
 /// Validates a `BENCH_layout.json` document against the
 /// [`LAYOUT_SCHEMA`] shape:
 ///
-/// * `throughput`: non-empty packed-vs-legacy timing sweep — every entry
-///   names a shape, carries both layouts' best times, and proves both
-///   runs actually sorted;
-/// * `cache_lines`: the per-phase cache-lines-touched estimates for both
-///   layouts (the analytical half of the story);
 /// * `grain_sweep`: non-empty, each entry a single-threaded run whose
 ///   deterministic `build_block_claims` must equal
 ///   `ceil((n - 1) / grain)` — the validator recomputes it;
 /// * `arena`: fresh-allocation vs arena-reuse round timings.
 ///
-/// Returns the total number of throughput + grain-sweep entries.
+/// Returns the total number of grain-sweep + arena entries.
 pub fn validate_layout_bench(text: &str) -> Result<usize, String> {
     let doc = Json::parse(text)?;
     match doc.get("schema").and_then(Json::as_str) {
@@ -396,55 +393,6 @@ pub fn validate_layout_bench(text: &str) -> Result<usize, String> {
     }
     if doc.get("quick").and_then(Json::as_bool).is_none() {
         return Err("quick: missing or not a boolean".into());
-    }
-
-    let throughput = doc
-        .get("throughput")
-        .and_then(Json::as_array)
-        .ok_or("throughput: missing or not an array")?;
-    if throughput.is_empty() {
-        return Err("throughput: empty".into());
-    }
-    for (at, entry) in throughput.iter().enumerate() {
-        if entry.get("shape").and_then(Json::as_str).is_none() {
-            return Err(format!("throughput[{at}].shape: missing or not a string"));
-        }
-        for key in ["n", "threads", "packed_ms", "legacy_ms", "speedup"] {
-            let v = entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("throughput[{at}].{key}: missing or not a number"))?;
-            if v < 0.0 {
-                return Err(format!("throughput[{at}].{key}: negative"));
-            }
-        }
-        for key in ["packed_sorted", "legacy_sorted"] {
-            if entry.get(key).and_then(Json::as_bool) != Some(true) {
-                return Err(format!("throughput[{at}].{key}: missing or not true"));
-            }
-        }
-    }
-
-    let cache_lines = doc
-        .get("cache_lines")
-        .and_then(Json::as_array)
-        .ok_or("cache_lines: missing or not an array")?;
-    if cache_lines.is_empty() {
-        return Err("cache_lines: empty".into());
-    }
-    for (at, entry) in cache_lines.iter().enumerate() {
-        if entry.get("phase").and_then(Json::as_str).is_none() {
-            return Err(format!("cache_lines[{at}].phase: missing or not a string"));
-        }
-        for key in [
-            "n",
-            "packed_lines_per_step",
-            "legacy_lines_per_step",
-            "packed_lines",
-            "legacy_lines",
-        ] {
-            require_num(entry, key, at).map_err(|e| e.replace("runs[", "cache_lines["))?;
-        }
     }
 
     let sweep = doc
@@ -516,7 +464,7 @@ pub fn validate_layout_bench(text: &str) -> Result<usize, String> {
         }
     }
 
-    Ok(throughput.len() + sweep.len())
+    Ok(sweep.len() + arena.len())
 }
 
 /// The schema tag `e26_sharded_bench` writes. v4 added the required
@@ -524,11 +472,9 @@ pub fn validate_layout_bench(text: &str) -> Result<usize, String> {
 /// the auxiliary-memory cap and the memory-traffic-ledger pin.
 pub const SHARDED_SCHEMA: &str = "wfsort-native-sharded/v4";
 
-/// The previous sharded schema tag, inside its one-release migration
-/// window per the versioning policy in `docs/artifacts.md`: v3-tagged
-/// documents still validate, with the v4 `inplace` section treated as
-/// optional. The window closes next release, after which v3 joins v2
-/// and v1.
+/// A retired sharded schema tag. Its one-release migration window (the
+/// v4 release) is over: v3 documents are now rejected with a pointer at
+/// the current tag, like v2 and v1 before it.
 pub const SHARDED_SCHEMA_V3: &str = "wfsort-native-sharded/v3";
 
 /// A retired sharded schema tag. Its one-release migration window (the
@@ -577,20 +523,17 @@ pub const SHARDED_SCHEMA_V1: &str = "wfsort-native-sharded/v1";
 ///   (`cycle_restarts = 0`), and proof both strategies produced the
 ///   identical permutation (`permutation_match`) and sorted.
 ///
-/// [`SHARDED_SCHEMA`] (v4) documents are fully enforced.
-/// [`SHARDED_SCHEMA_V3`] is inside its one-release migration window:
-/// accepted, with `inplace` optional (validated when present). The
-/// legacy [`SHARDED_SCHEMA_V2`] and [`SHARDED_SCHEMA_V1`] tags had
-/// their windows and are rejected with an explicit message.
+/// [`SHARDED_SCHEMA`] (v4) documents are fully enforced. The retired
+/// [`SHARDED_SCHEMA_V3`], [`SHARDED_SCHEMA_V2`] and [`SHARDED_SCHEMA_V1`]
+/// tags had their windows and are rejected with an explicit message.
 ///
 /// Returns the number of comparison + counter-pin + adversarial +
 /// classify + inplace entries.
 pub fn validate_sharded_bench(text: &str) -> Result<usize, String> {
     let doc = Json::parse(text)?;
-    let v4 = match doc.get("schema").and_then(Json::as_str) {
-        Some(SHARDED_SCHEMA) => true,
-        Some(SHARDED_SCHEMA_V3) => false,
-        Some(retired @ (SHARDED_SCHEMA_V2 | SHARDED_SCHEMA_V1)) => {
+    match doc.get("schema").and_then(Json::as_str) {
+        Some(SHARDED_SCHEMA) => {}
+        Some(retired @ (SHARDED_SCHEMA_V3 | SHARDED_SCHEMA_V2 | SHARDED_SCHEMA_V1)) => {
             return Err(format!(
                 "schema: {retired} is no longer accepted (its one-release \
                  migration window is over) — regenerate the artifact with \
@@ -599,7 +542,7 @@ pub fn validate_sharded_bench(text: &str) -> Result<usize, String> {
         }
         Some(other) => return Err(format!("schema: expected {SHARDED_SCHEMA}, got {other}")),
         None => return Err("schema: missing".into()),
-    };
+    }
     if doc.get("experiment").and_then(Json::as_str).is_none() {
         return Err("experiment: missing or not a string".into());
     }
@@ -858,14 +801,11 @@ pub fn validate_sharded_bench(text: &str) -> Result<usize, String> {
         }
     }
 
-    let empty = Vec::new();
-    let inplace = match doc.get("inplace").and_then(Json::as_array) {
-        Some(inplace) => inplace,
-        // The v3 migration window: `inplace` did not exist yet.
-        None if !v4 => &empty,
-        None => return Err("inplace: missing or not an array (required by v4)".into()),
-    };
-    if v4 && inplace.is_empty() {
+    let inplace = doc
+        .get("inplace")
+        .and_then(Json::as_array)
+        .ok_or("inplace: missing or not an array")?;
+    if inplace.is_empty() {
         return Err("inplace: empty".into());
     }
     for (at, entry) in inplace.iter().enumerate() {
@@ -1324,16 +1264,6 @@ mod tests {
     fn valid_layout_doc() -> String {
         format!(
             r#"{{"schema": "{LAYOUT_SCHEMA}", "experiment": "e25", "quick": true,
-                "throughput": [
-                    {{"shape": "uniform-random", "n": 4096, "threads": 2,
-                      "packed_ms": 1.1, "legacy_ms": 1.4, "speedup": 1.27,
-                      "packed_sorted": true, "legacy_sorted": true}}
-                ],
-                "cache_lines": [
-                    {{"phase": "sum", "n": 4096,
-                      "packed_lines_per_step": 1, "legacy_lines_per_step": 3,
-                      "packed_lines": 4096, "legacy_lines": 12288}}
-                ],
                 "grain_sweep": [
                     {{"n": 4096, "grain": 1, "build_claims": 4095,
                       "build_block_claims": 4095, "scatter_block_claims": 4096,
@@ -1364,22 +1294,17 @@ mod tests {
             "unexpected error: {err}"
         );
 
-        let doc =
-            valid_layout_doc().replace(r#""legacy_sorted": true"#, r#""legacy_sorted": false"#);
-        assert!(validate_layout_bench(&doc)
-            .unwrap_err()
-            .contains("legacy_sorted"));
+        // v1 carried the retired packed-vs-legacy sections and has no
+        // migration window: its tag is rejected outright.
+        for tag in ["wfsort-native-layout/v1", "other/v0"] {
+            let doc = valid_layout_doc().replace(LAYOUT_SCHEMA, tag);
+            assert!(validate_layout_bench(&doc)
+                .unwrap_err()
+                .starts_with("schema"));
+        }
 
-        let doc = valid_layout_doc().replace(LAYOUT_SCHEMA, "other/v0");
-        assert!(validate_layout_bench(&doc)
-            .unwrap_err()
-            .starts_with("schema"));
-
-        let doc = valid_layout_doc().replace(r#""throughput": ["#, r#""throughput": [], "x": ["#);
-        assert_eq!(
-            validate_layout_bench(&doc).unwrap_err(),
-            "throughput: empty"
-        );
+        let doc = valid_layout_doc().replace(r#""arena": ["#, r#""arena": [], "x": ["#);
+        assert_eq!(validate_layout_bench(&doc).unwrap_err(), "arena: empty");
     }
 
     fn valid_sharded_doc() -> String {
@@ -1435,10 +1360,10 @@ mod tests {
 
     #[test]
     fn retired_sharded_schema_tags_are_rejected_with_a_pointer() {
-        // Both v1 and v2 had their one-release migration windows: a
-        // document carrying either tag is rejected even if its body
-        // would otherwise validate, and the message says what to do.
-        for retired in [SHARDED_SCHEMA_V1, SHARDED_SCHEMA_V2] {
+        // v1, v2 and v3 had their one-release migration windows: a
+        // document carrying any of those tags is rejected even if its
+        // body would otherwise validate, and the message says what to do.
+        for retired in [SHARDED_SCHEMA_V1, SHARDED_SCHEMA_V2, SHARDED_SCHEMA_V3] {
             let doc = valid_sharded_doc().replace(SHARDED_SCHEMA, retired);
             let err = validate_sharded_bench(&doc).unwrap_err();
             assert!(err.contains(retired), "unexpected error: {err}");
@@ -1449,44 +1374,17 @@ mod tests {
             assert!(err.contains(SHARDED_SCHEMA), "unexpected error: {err}");
         }
 
-        // And the adversarial section stays mandatory at the current tag.
-        let missing =
-            valid_sharded_doc().replace(r#""adversarial": ["#, r#""adversarial_renamed": ["#);
-        assert!(validate_sharded_bench(&missing)
-            .unwrap_err()
-            .contains("adversarial"));
-    }
-
-    #[test]
-    fn v3_sharded_documents_validate_without_inplace_during_the_window() {
-        // The ISSUE-10 migration window: a v3 tag is still accepted, and
-        // since v3 predates the `inplace` section its absence is fine…
-        let v3 = valid_sharded_doc()
-            .replace(SHARDED_SCHEMA, SHARDED_SCHEMA_V3)
-            .replace(r#""inplace": ["#, r#""inplace_renamed": ["#);
-        assert_eq!(validate_sharded_bench(&v3), Ok(4));
-
-        // …but a v3 document that does carry one gets it validated.
-        let v3_bad = valid_sharded_doc()
-            .replace(SHARDED_SCHEMA, SHARDED_SCHEMA_V3)
-            .replace(r#""aux_bytes": 960"#, r#""aux_bytes": 161280"#);
-        assert!(validate_sharded_bench(&v3_bad)
-            .unwrap_err()
-            .contains("aux_bytes"));
-
-        // `classify` stays mandatory inside the window — v3 required it.
-        let v3_no_classify = valid_sharded_doc()
-            .replace(SHARDED_SCHEMA, SHARDED_SCHEMA_V3)
-            .replace(r#""classify": ["#, r#""classify_renamed": ["#);
-        assert!(validate_sharded_bench(&v3_no_classify)
-            .unwrap_err()
-            .contains("classify"));
-
-        // The current tag has no such grace: v4 requires the section.
-        let v4_missing = valid_sharded_doc().replace(r#""inplace": ["#, r#""inplace_renamed": ["#);
-        assert!(validate_sharded_bench(&v4_missing)
-            .unwrap_err()
-            .contains("inplace"));
+        // And the adversarial and inplace sections stay mandatory at the
+        // current tag.
+        for section in ["adversarial", "inplace"] {
+            let missing = valid_sharded_doc().replace(
+                &format!(r#""{section}": ["#),
+                &format!(r#""{section}_renamed": ["#),
+            );
+            assert!(validate_sharded_bench(&missing)
+                .unwrap_err()
+                .contains(section));
+        }
     }
 
     #[test]

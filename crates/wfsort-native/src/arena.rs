@@ -1,7 +1,7 @@
 //! Reusable sort storage: keep one [`SortArena`] around and repeated
 //! sorts stop paying the per-call allocation bill.
 //!
-//! A fresh [`SortJob`] allocates the packed pivot-tree cells, four WAT
+//! A fresh [`SortJob`] allocates the packed pivot-tree cells, two WAT
 //! node vectors, the permutation vector, the heartbeat slots, and a copy
 //! of the keys — all `O(n)`, all thrown away when the job is dropped.
 //! [`crate::WaitFreeSorter::sort_into`] instead parks the finished job in
@@ -11,12 +11,8 @@
 //! vector when the input outgrows it.
 
 use crate::job::{NativeAllocation, SortJob};
-use crate::tree::{PivotTree, SharedTree};
 
 /// Retained storage for repeated sorts over the same key type.
-///
-/// The arena is generic over the pivot-tree layout like [`SortJob`]
-/// itself; the default packed [`SharedTree`] is what callers want.
 ///
 /// # Examples
 ///
@@ -33,19 +29,19 @@ use crate::tree::{PivotTree, SharedTree};
 /// }
 /// ```
 #[derive(Debug)]
-pub struct SortArena<K: Ord, T: PivotTree = SharedTree> {
-    job: Option<SortJob<K, T>>,
+pub struct SortArena<K: Ord> {
+    job: Option<SortJob<K>>,
     sorts: u64,
     recycled: u64,
 }
 
-impl<K: Ord, T: PivotTree> Default for SortArena<K, T> {
+impl<K: Ord> Default for SortArena<K> {
     fn default() -> Self {
         SortArena::new()
     }
 }
 
-impl<K: Ord, T: PivotTree> SortArena<K, T> {
+impl<K: Ord> SortArena<K> {
     /// An empty arena; the first sort through it allocates, later sorts
     /// recycle.
     pub fn new() -> Self {
@@ -82,11 +78,12 @@ impl<K: Ord, T: PivotTree> SortArena<K, T> {
     }
 
     /// Readies a job for sorting `keys`: recycles the retained storage
-    /// when warm, allocates fresh otherwise. The returned job is
-    /// unstarted; run it via [`SortJob::participate`] (or a
-    /// [`crate::WaitFreeSorter`] front-end) and read the result with
-    /// [`SortJob::sorted_into`] — it stays parked in the arena for the
-    /// next call.
+    /// when warm (rebuilding only the work-assignment trees, and only
+    /// when `allocation` switches flavor), allocates fresh otherwise.
+    /// The returned job is unstarted; run it via [`SortJob::participate`]
+    /// (or a [`crate::WaitFreeSorter`] front-end) and read the result
+    /// with [`SortJob::sorted_into`] — it stays parked in the arena for
+    /// the next call.
     ///
     /// # Panics
     ///
@@ -98,7 +95,7 @@ impl<K: Ord, T: PivotTree> SortArena<K, T> {
         allocation: NativeAllocation,
         tracked: usize,
         grain: usize,
-    ) -> &SortJob<K, T>
+    ) -> &SortJob<K>
     where
         K: Clone,
     {
@@ -109,7 +106,7 @@ impl<K: Ord, T: PivotTree> SortArena<K, T> {
                 job.recycle_from_slice(keys, allocation, tracked, grain);
             }
             None => {
-                self.job = Some(SortJob::with_layout(
+                self.job = Some(SortJob::with_grain(
                     keys.to_vec(),
                     allocation,
                     tracked,

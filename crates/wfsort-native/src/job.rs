@@ -9,10 +9,9 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use crate::lcwat::AtomicLcWat;
 use crate::metrics::{Instrument, MetricSlot, NoInstrument};
-use crate::tree::{PivotTree, SharedTree, Side, EMPTY};
-use crate::wat::AtomicWat;
+use crate::tree::{SharedTree, Side, EMPTY};
+use crate::wat::PhaseWat;
 use crate::watchdog::{ParticipantProgress, ProgressReport, SortPhase};
 
 /// Heartbeat slots allocated by [`SortJob::new`] / [`SortJob::with_allocation`]
@@ -183,14 +182,13 @@ pub enum NativeAllocation {
 /// assert_eq!(job.into_sorted(), vec![1, 2, 3, 5, 8, 9]);
 /// ```
 #[derive(Debug)]
-pub struct SortJob<K: Ord, T: PivotTree = SharedTree> {
+pub struct SortJob<K: Ord> {
     keys: Vec<K>,
-    tree: T,
-    allocation: NativeAllocation,
-    build_wat: AtomicWat,
-    scatter_wat: AtomicWat,
-    build_lcwat: AtomicLcWat,
-    scatter_lcwat: AtomicLcWat,
+    tree: SharedTree,
+    /// Work trees for phase 1 (one item per non-root element) and
+    /// phase 4 (one per element), both of the job's allocation flavor.
+    build_wat: PhaseWat,
+    scatter_wat: PhaseWat,
     /// `perm[r - 1]` = element index with rank `r`.
     perm: Vec<AtomicUsize>,
     participants: AtomicUsize,
@@ -253,7 +251,18 @@ impl<K: Ord> SortJob<K> {
         tracked: usize,
         grain: usize,
     ) -> Self {
-        Self::with_layout(keys, allocation, tracked, grain)
+        let n = keys.len();
+        assert!(n >= 2, "a sort job needs at least two keys");
+        assert!(tracked >= 1, "a sort job needs at least one tracked slot");
+        SortJob {
+            keys,
+            tree: SharedTree::new(n),
+            build_wat: PhaseWat::new(allocation, n - 1, grain),
+            scatter_wat: PhaseWat::new(allocation, n, grain),
+            perm: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            participants: AtomicUsize::new(0),
+            heartbeats: (0..tracked).map(|_| HeartbeatSlot::default()).collect(),
+        }
     }
 
     /// Builds a *sharded* job over `keys` instead of a single-tree one:
@@ -277,41 +286,6 @@ impl<K: Ord> SortJob<K> {
             DEFAULT_TRACKED_PARTICIPANTS,
             shards,
         )
-    }
-}
-
-impl<K: Ord, T: PivotTree> SortJob<K, T> {
-    /// [`SortJob::with_grain`] generalized over the pivot-tree layout
-    /// `T`: the packed [`SharedTree`] by default, or (with the
-    /// `legacy-layout` feature) the five-parallel-array
-    /// `LegacySharedTree`, so differential tests can drive the identical
-    /// pipeline through either memory layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` has fewer than 2 elements, or `tracked` or
-    /// `grain` is zero.
-    pub fn with_layout(
-        keys: Vec<K>,
-        allocation: NativeAllocation,
-        tracked: usize,
-        grain: usize,
-    ) -> Self {
-        let n = keys.len();
-        assert!(n >= 2, "a sort job needs at least two keys");
-        assert!(tracked >= 1, "a sort job needs at least one tracked slot");
-        SortJob {
-            keys,
-            tree: T::with_len(n),
-            allocation,
-            build_wat: AtomicWat::with_grain(n - 1, grain),
-            scatter_wat: AtomicWat::with_grain(n, grain),
-            build_lcwat: AtomicLcWat::with_grain(n - 1, grain),
-            scatter_lcwat: AtomicLcWat::with_grain(n, grain),
-            perm: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            participants: AtomicUsize::new(0),
-            heartbeats: (0..tracked).map(|_| HeartbeatSlot::default()).collect(),
-        }
     }
 
     /// Rebuilds this job in place for a fresh sort over `keys`, reusing
@@ -339,12 +313,9 @@ impl<K: Ord, T: PivotTree> SortJob<K, T> {
         assert!(grain >= 1, "a sort job needs a non-zero grain");
         self.keys.clear();
         self.keys.extend_from_slice(keys);
-        self.allocation = allocation;
         self.tree.reset(n);
-        self.build_wat.reset(n - 1, grain);
-        self.scatter_wat.reset(n, grain);
-        self.build_lcwat.reset(n - 1, grain);
-        self.scatter_lcwat.reset(n, grain);
+        self.build_wat.reset(allocation, n - 1, grain);
+        self.scatter_wat.reset(allocation, n, grain);
         self.perm.truncate(n);
         for slot in &mut self.perm {
             *slot.get_mut() = 0;
@@ -375,10 +346,7 @@ impl<K: Ord, T: PivotTree> SortJob<K, T> {
 
     /// Whether the sorted permutation is fully computed.
     pub fn is_complete(&self) -> bool {
-        match self.allocation {
-            NativeAllocation::Deterministic => self.scatter_wat.all_done(),
-            NativeAllocation::Randomized => self.scatter_lcwat.all_done(),
-        }
+        self.scatter_wat.all_done()
     }
 
     /// Snapshots the job's progress: per-participant heartbeats (phase,
@@ -401,21 +369,6 @@ impl<K: Ord, T: PivotTree> SortJob<K, T> {
                 }
             })
             .collect();
-        let (build_jobs_done, build_jobs_total, scatter_jobs_done, scatter_jobs_total) =
-            match self.allocation {
-                NativeAllocation::Deterministic => (
-                    self.build_wat.done_jobs(),
-                    self.build_wat.jobs(),
-                    self.scatter_wat.done_jobs(),
-                    self.scatter_wat.jobs(),
-                ),
-                NativeAllocation::Randomized => (
-                    self.build_lcwat.done_jobs(),
-                    self.build_lcwat.jobs(),
-                    self.scatter_lcwat.done_jobs(),
-                    self.scatter_lcwat.jobs(),
-                ),
-            };
         ProgressReport {
             complete: self.is_complete(),
             phase: workers
@@ -427,19 +380,16 @@ impl<K: Ord, T: PivotTree> SortJob<K, T> {
             workers,
             tracked_slots,
             aliased_participants: participants.saturating_sub(tracked_slots),
-            build_jobs_done,
-            build_jobs_total,
-            scatter_jobs_done,
-            scatter_jobs_total,
+            build_jobs_done: self.build_wat.done_jobs(),
+            build_jobs_total: self.build_wat.jobs(),
+            scatter_jobs_done: self.scatter_wat.done_jobs(),
+            scatter_jobs_total: self.scatter_wat.jobs(),
         }
     }
 
     /// Whether phase 1 (tree building) is complete.
     fn build_done(&self) -> bool {
-        match self.allocation {
-            NativeAllocation::Deterministic => self.build_wat.all_done(),
-            NativeAllocation::Randomized => self.build_lcwat.all_done(),
-        }
+        self.build_wat.all_done()
     }
 
     /// `(key, index)` comparison: is element `a` less than element `b`?
@@ -540,16 +490,8 @@ impl<K: Ord, T: PivotTree> SortJob<K, T> {
             ins.checkpoint();
             p.keep_going()
         };
-        match self.allocation {
-            NativeAllocation::Deterministic => {
-                self.build_wat
-                    .participate_with(tid, nthreads, insert, keep_going, ins);
-            }
-            NativeAllocation::Randomized => {
-                self.build_lcwat
-                    .participate_with(tid as u64, insert, keep_going, ins);
-            }
-        }
+        self.build_wat
+            .participate_with(tid, nthreads, insert, keep_going, ins);
     }
 
     /// Phase 2: subtree sizes (Figure 5); returns `false` if abandoned.
@@ -672,16 +614,8 @@ impl<K: Ord, T: PivotTree> SortJob<K, T> {
             ins.checkpoint();
             p.keep_going()
         };
-        match self.allocation {
-            NativeAllocation::Deterministic => {
-                self.scatter_wat
-                    .participate_with(tid, nthreads, move_one, keep_going, ins);
-            }
-            NativeAllocation::Randomized => {
-                self.scatter_lcwat
-                    .participate_with(tid as u64, move_one, keep_going, ins);
-            }
-        }
+        self.scatter_wat
+            .participate_with(tid, nthreads, move_one, keep_going, ins);
     }
 
     /// The sorted permutation: entry `r` is the index (1-based) of the

@@ -66,8 +66,6 @@ mod arena;
 mod fault;
 mod job;
 mod lcwat;
-#[cfg(feature = "legacy-layout")]
-pub mod legacy;
 pub mod metrics;
 pub mod service;
 mod shard;
@@ -85,8 +83,6 @@ pub use job::{
     SortJob, DEFAULT_TRACKED_PARTICIPANTS,
 };
 pub use lcwat::AtomicLcWat;
-#[cfg(feature = "legacy-layout")]
-pub use legacy::LegacySharedTree;
 pub use metrics::{
     BucketStat, BuildMetrics, MetricSlot, PhaseMetrics, ScatterMetrics, ShardPhaseMetrics,
     ShardReport, ShardStat, SortReport, TraversalMetrics, WorkerMetrics,
@@ -100,7 +96,7 @@ pub use shard::{
     ShardedSortJob, SplitterLadder, IN_PLACE_AUTO_MIN, LADDER_AUTO_MAX_SPLITTERS,
 };
 pub use sorter::{sort_with_churn, SortOptions, SortOutcome, UntilFlag, WaitFreeSorter};
-pub use tree::{PivotTree, SharedTree, Side, EMPTY};
+pub use tree::{SharedTree, Side, EMPTY};
 pub use wat::{Assignment, AtomicWat};
 pub use watchdog::{
     Health, ParticipantProgress, ProgressReport, SortPhase, Watchdog, WatchdogRegistry,

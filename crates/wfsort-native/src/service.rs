@@ -754,7 +754,7 @@ impl<K: Ord + Clone + Send + Sync + 'static> SortService<K> {
                 )))
             } else {
                 let grain = recommended_grain(n, helpers);
-                Work::Shared(Box::new(SortJob::with_layout(
+                Work::Shared(Box::new(SortJob::with_grain(
                     keys,
                     NativeAllocation::Deterministic,
                     tracked,

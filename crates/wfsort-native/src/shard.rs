@@ -80,9 +80,8 @@ use crate::job::{
     recommended_grain, NativeAllocation, Participation, RunToCompletion,
     DEFAULT_TRACKED_PARTICIPANTS,
 };
-use crate::lcwat::AtomicLcWat;
 use crate::metrics::{BucketStat, Instrument, MetricSlot, NoInstrument, ShardReport, ShardStat};
-use crate::wat::AtomicWat;
+use crate::wat::PhaseWat;
 use crate::watchdog::{ProgressReport, SortPhase};
 
 /// The shard count [`crate::WaitFreeSorter::sort_sharded`] picks for
@@ -567,13 +566,15 @@ pub struct ShardedSortJob<K: Ord> {
     config: ShardConfig,
     pgrain: usize,
     blocks: usize,
+    /// The WAT flavor of every phase below, inherited by the per-unit
+    /// sorts and re-shards of the shard phase.
     allocation: NativeAllocation,
-    partition_wat: AtomicWat,
-    fill_wat: AtomicWat,
-    shard_wat: AtomicWat,
-    partition_lcwat: AtomicLcWat,
-    fill_lcwat: AtomicLcWat,
-    shard_lcwat: AtomicLcWat,
+    /// One work tree per phase: partition (one item per element,
+    /// `pgrain` per leaf), fill (one per partition block) and shard
+    /// sort (one per shard).
+    partition_wat: PhaseWat,
+    fill_wat: PhaseWat,
+    shard_wat: PhaseWat,
     /// `piece_of[i]` = bucket of element `i` (0-based). Benign race:
     /// every writer stores the same deterministic value.
     piece_of: Vec<AtomicU32>,
@@ -729,12 +730,9 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             pgrain,
             blocks,
             allocation,
-            partition_wat: AtomicWat::with_grain(n, pgrain),
-            fill_wat: AtomicWat::new(blocks),
-            shard_wat: AtomicWat::new(shards),
-            partition_lcwat: AtomicLcWat::with_grain(n, pgrain),
-            fill_lcwat: AtomicLcWat::new(blocks),
-            shard_lcwat: AtomicLcWat::new(shards),
+            partition_wat: PhaseWat::new(allocation, n, pgrain),
+            fill_wat: PhaseWat::new(allocation, blocks, 1),
+            shard_wat: PhaseWat::new(allocation, shards, 1),
             piece_of: (0..n).map(|_| AtomicU32::new(0)).collect(),
             block_counts: (0..blocks * pieces).map(|_| AtomicU32::new(0)).collect(),
             bucket: (0..bucket_len).map(|_| AtomicUsize::new(0)).collect(),
@@ -853,16 +851,8 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             ins.checkpoint();
             p.keep_going()
         };
-        match self.allocation {
-            NativeAllocation::Deterministic => {
-                self.partition_wat
-                    .participate_with(tid, nthreads, classify, keep_going, ins);
-            }
-            NativeAllocation::Randomized => {
-                self.partition_lcwat
-                    .participate_with(tid as u64, classify, keep_going, ins);
-            }
-        }
+        self.partition_wat
+            .participate_with(tid, nthreads, classify, keep_going, ins);
     }
 
     /// Phase 2: write every element's index into its bucket's slot
@@ -929,16 +919,8 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             ins.checkpoint();
             p.keep_going()
         };
-        match self.allocation {
-            NativeAllocation::Deterministic => {
-                self.fill_wat
-                    .participate_with(tid, nthreads, fill_block, keep_going, ins);
-            }
-            NativeAllocation::Randomized => {
-                self.fill_lcwat
-                    .participate_with(tid as u64, fill_block, keep_going, ins);
-            }
-        }
+        self.fill_wat
+            .participate_with(tid, nthreads, fill_block, keep_going, ins);
         starts
     }
 
@@ -1087,16 +1069,8 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             ins.checkpoint();
             !abandoned.get() && outer.borrow_mut().keep_going()
         };
-        match self.allocation {
-            NativeAllocation::Deterministic => {
-                self.shard_wat
-                    .participate_with(tid, nthreads, sort_shard, keep_going, ins);
-            }
-            NativeAllocation::Randomized => {
-                self.shard_lcwat
-                    .participate_with(tid as u64, sort_shard, keep_going, ins);
-            }
-        }
+        self.shard_wat
+            .participate_with(tid, nthreads, sort_shard, keep_going, ins);
     }
 
     /// Whether the keys in bucket slots `lo..hi` are already
@@ -1575,26 +1549,17 @@ impl<K: Ord> ShardedSortJob<K> {
 
     /// Whether phase 1 (classification) is complete.
     fn partition_done(&self) -> bool {
-        match self.allocation {
-            NativeAllocation::Deterministic => self.partition_wat.all_done(),
-            NativeAllocation::Randomized => self.partition_lcwat.all_done(),
-        }
+        self.partition_wat.all_done()
     }
 
     /// Whether phase 2 (bucket fill) is complete.
     fn fill_done(&self) -> bool {
-        match self.allocation {
-            NativeAllocation::Deterministic => self.fill_wat.all_done(),
-            NativeAllocation::Randomized => self.fill_lcwat.all_done(),
-        }
+        self.fill_wat.all_done()
     }
 
     /// Whether the sorted permutation is fully computed.
     pub fn is_complete(&self) -> bool {
-        match self.allocation {
-            NativeAllocation::Deterministic => self.shard_wat.all_done(),
-            NativeAllocation::Randomized => self.shard_lcwat.all_done(),
-        }
+        self.shard_wat.all_done()
     }
 
     /// A structured snapshot of the sharded pipeline's progress: the
@@ -1614,25 +1579,6 @@ impl<K: Ord> ShardedSortJob<K> {
     /// exactly the verdicts the heartbeat view would give, minus the
     /// per-thread reaped/stalled split.
     pub fn progress(&self) -> ProgressReport {
-        let (partition_done, partition_total, fill_done, fill_total, shard_done, shard_total) =
-            match self.allocation {
-                NativeAllocation::Deterministic => (
-                    self.partition_wat.done_jobs(),
-                    self.partition_wat.jobs(),
-                    self.fill_wat.done_jobs(),
-                    self.fill_wat.jobs(),
-                    self.shard_wat.done_jobs(),
-                    self.shard_wat.jobs(),
-                ),
-                NativeAllocation::Randomized => (
-                    self.partition_lcwat.done_jobs(),
-                    self.partition_lcwat.jobs(),
-                    self.fill_lcwat.done_jobs(),
-                    self.fill_lcwat.jobs(),
-                    self.shard_lcwat.done_jobs(),
-                    self.shard_lcwat.jobs(),
-                ),
-            };
         let phase = if self.fill_done() {
             SortPhase::ShardSort
         } else if self.partition_done() {
@@ -1647,10 +1593,10 @@ impl<K: Ord> ShardedSortJob<K> {
             workers: Vec::new(),
             tracked_slots: 0,
             aliased_participants: 0,
-            build_jobs_done: partition_done + fill_done,
-            build_jobs_total: partition_total + fill_total,
-            scatter_jobs_done: shard_done,
-            scatter_jobs_total: shard_total,
+            build_jobs_done: self.partition_wat.done_jobs() + self.fill_wat.done_jobs(),
+            build_jobs_total: self.partition_wat.jobs() + self.fill_wat.jobs(),
+            scatter_jobs_done: self.shard_wat.done_jobs(),
+            scatter_jobs_total: self.shard_wat.jobs(),
         }
     }
 

@@ -24,7 +24,6 @@ use crate::metrics::{MetricSlot, ShardReport, SortReport};
 use crate::shard::{
     recommended_shards, ClassifyKernel, PartitionStrategy, ShardConfig, ShardedSortJob,
 };
-use crate::tree::PivotTree;
 
 /// A multi-threaded wait-free sorter.
 ///
@@ -314,8 +313,7 @@ impl SortOptions {
                 let grain = self
                     .grain
                     .unwrap_or_else(|| recommended_grain(n, self.threads));
-                let job: SortJob<K> =
-                    SortJob::with_layout(keys.to_vec(), self.allocation, tracked, grain);
+                let job = SortJob::with_grain(keys.to_vec(), self.allocation, tracked, grain);
                 let report = self.drive(&job);
                 Self::outcome(keys, &job, report)
             }
@@ -327,10 +325,10 @@ impl SortOptions {
     /// telemetry when [`SortOptions::report`] is enabled. The arena path
     /// is single-tree; the shard mode is ignored here. Inputs shorter
     /// than two keys are copied through without touching the arena.
-    pub fn run_into<K: Ord + Clone + Send + Sync, T: PivotTree>(
+    pub fn run_into<K: Ord + Clone + Send + Sync>(
         &self,
         keys: &[K],
-        arena: &mut SortArena<K, T>,
+        arena: &mut SortArena<K>,
         out: &mut Vec<K>,
     ) -> Option<SortReport> {
         if keys.len() < 2 {
@@ -463,7 +461,7 @@ trait CohortJob<K: Ord>: Sync {
     fn shard_report_opt(&self) -> Option<ShardReport>;
 }
 
-impl<K: Ord + Send + Sync, T: PivotTree> CohortJob<K> for SortJob<K, T> {
+impl<K: Ord + Send + Sync> CohortJob<K> for SortJob<K> {
     fn participate_dyn(&self, mut p: &mut dyn Participation) {
         self.participate(&mut p);
     }
@@ -534,10 +532,9 @@ impl WaitFreeSorter {
 
     /// Runs `job` to completion on this sorter's thread count (inline
     /// when single-threaded, scoped workers otherwise). Public so
-    /// callers that build their own jobs — explicit grains, arena
-    /// recycling, or the `legacy-layout` pivot tree — can still use the
-    /// sorter's cohort management.
-    pub fn run_job<K: Ord + Send + Sync, T: PivotTree>(&self, job: &SortJob<K, T>) {
+    /// callers that build their own jobs — explicit grains or arena
+    /// recycling — can still use the sorter's cohort management.
+    pub fn run_job<K: Ord + Send + Sync>(&self, job: &SortJob<K>) {
         self.options().drive(job);
     }
 
@@ -545,10 +542,7 @@ impl WaitFreeSorter {
     /// returns the aggregated [`SortReport`]. The job may use either
     /// allocation strategy and may have been partially sorted already;
     /// the report covers only what this cohort did.
-    pub fn run_job_with_report<K: Ord + Send + Sync, T: PivotTree>(
-        &self,
-        job: &SortJob<K, T>,
-    ) -> SortReport {
+    pub fn run_job_with_report<K: Ord + Send + Sync>(&self, job: &SortJob<K>) -> SortReport {
         let mut report = self
             .options()
             .report(true)

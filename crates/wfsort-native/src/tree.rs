@@ -51,10 +51,6 @@
 //! subtlety — a straggler's duplicate `place` store must never clear an
 //! already-folded done bit — is closed by publishing `place` with a
 //! CAS-from-zero instead of a blind store (see [`SharedTree::set_place`]).
-//!
-//! The pre-packing layout survives as `legacy::LegacySharedTree` behind
-//! the `legacy-layout` feature — the comparison shim for differential
-//! tests and the `e25_layout_bench` before/after artifact.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
@@ -117,66 +113,6 @@ impl NodeMeta {
         *self.size.get_mut() = 0;
         *self.place.get_mut() = 0;
     }
-}
-
-/// The operations [`crate::SortJob`]'s four phases need from a pivot
-/// tree. Implemented by the packed [`SharedTree`] (the default) and by
-/// `legacy::LegacySharedTree` (the five-parallel-array comparison shim
-/// behind the `legacy-layout` feature), so differential tests and the
-/// layout benchmark can drive the identical sort pipeline over either
-/// memory layout.
-///
-/// All methods follow the paper's write-once/benign-race discipline:
-/// `install_child_observed` is the only contended CAS, and every other
-/// write publishes a value that is a deterministic function of the keys
-/// and the installed children.
-pub trait PivotTree: Send + Sync {
-    /// Creates the shared fields for `n` elements.
-    fn with_len(n: usize) -> Self;
-
-    /// Number of elements.
-    fn len(&self) -> usize;
-
-    /// Whether the tree holds zero elements.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Reads the child of `node` on `side` (`EMPTY` if none).
-    fn child(&self, node: usize, side: Side) -> usize;
-
-    /// Attempts to install `child` as `node`'s `side` child; returns the
-    /// slot's occupant afterwards plus whether this call's install won
-    /// the slot. A `false` second component means the slot went to
-    /// another writer — the event the metrics layer counts as a
-    /// contention failure.
-    fn install_child_observed(&self, node: usize, side: Side, child: usize) -> (usize, bool);
-
-    /// Reads `node`'s subtree size (0 = not yet summed).
-    fn size(&self, node: usize) -> usize;
-
-    /// Publishes `node`'s subtree size.
-    fn set_size(&self, node: usize, value: usize);
-
-    /// Reads `node`'s 1-based rank (0 = not yet placed).
-    fn place(&self, node: usize) -> usize;
-
-    /// Publishes `node`'s rank.
-    fn set_place(&self, node: usize, value: usize);
-
-    /// Whether `node`'s whole subtree has been placed (the postorder
-    /// completion flag — see the find_place crash-window fix in
-    /// DESIGN.md).
-    fn place_complete(&self, node: usize) -> bool;
-
-    /// Marks `node`'s subtree placement complete.
-    fn set_place_complete(&self, node: usize);
-
-    /// Resizes to `n` elements and zeroes every field, reusing existing
-    /// allocations where possible. Requires exclusive access (`&mut`):
-    /// the arena calls it between sorts, never concurrently with
-    /// participants.
-    fn reset(&mut self, n: usize);
 }
 
 /// Atomic per-element fields, 1-based (index 0 unused): two dense
@@ -350,59 +286,6 @@ impl SharedTree {
         self.meta[node]
             .place
             .fetch_or(PLACE_DONE_BIT, Ordering::AcqRel);
-    }
-}
-
-impl PivotTree for SharedTree {
-    fn with_len(n: usize) -> Self {
-        SharedTree::new(n)
-    }
-
-    fn len(&self) -> usize {
-        SharedTree::len(self)
-    }
-
-    #[inline]
-    fn child(&self, node: usize, side: Side) -> usize {
-        SharedTree::child(self, node, side)
-    }
-
-    fn install_child_observed(&self, node: usize, side: Side, child: usize) -> (usize, bool) {
-        SharedTree::install_child_observed(self, node, side, child)
-    }
-
-    #[inline]
-    fn size(&self, node: usize) -> usize {
-        SharedTree::size(self, node)
-    }
-
-    #[inline]
-    fn set_size(&self, node: usize, value: usize) {
-        SharedTree::set_size(self, node, value)
-    }
-
-    #[inline]
-    fn place(&self, node: usize) -> usize {
-        SharedTree::place(self, node)
-    }
-
-    #[inline]
-    fn set_place(&self, node: usize, value: usize) {
-        SharedTree::set_place(self, node, value)
-    }
-
-    #[inline]
-    fn place_complete(&self, node: usize) -> bool {
-        SharedTree::place_complete(self, node)
-    }
-
-    #[inline]
-    fn set_place_complete(&self, node: usize) {
-        SharedTree::set_place_complete(self, node)
-    }
-
-    fn reset(&mut self, n: usize) {
-        SharedTree::reset(self, n)
     }
 }
 

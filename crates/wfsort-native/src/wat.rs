@@ -22,6 +22,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::job::NativeAllocation;
+use crate::lcwat::AtomicLcWat;
 use crate::metrics::{Instrument, NoInstrument};
 
 const NOT_DONE: usize = 0;
@@ -309,6 +311,98 @@ impl AtomicWat {
                     node = n;
                 }
             }
+        }
+    }
+}
+
+/// One phase's work-assignment tree in the flavor a job's
+/// [`NativeAllocation`] selects: the deterministic WAT of Figure 2 or
+/// the randomized LC-WAT of Figure 8. Every job phase holds exactly one
+/// of these, and this is the only place that maps an allocation onto a
+/// tree.
+#[derive(Debug)]
+pub(crate) enum PhaseWat {
+    Deterministic(AtomicWat),
+    Randomized(AtomicLcWat),
+}
+
+impl PhaseWat {
+    /// A tree of the `allocation` flavor over `items` items, `grain`
+    /// items per leaf block.
+    pub(crate) fn new(allocation: NativeAllocation, items: usize, grain: usize) -> Self {
+        match allocation {
+            NativeAllocation::Deterministic => {
+                PhaseWat::Deterministic(AtomicWat::with_grain(items, grain))
+            }
+            NativeAllocation::Randomized => {
+                PhaseWat::Randomized(AtomicLcWat::with_grain(items, grain))
+            }
+        }
+    }
+
+    /// Readies the tree for a fresh run: resets it in place when it
+    /// already has the `allocation` flavor, rebuilds it otherwise.
+    /// Requires exclusive access, like the flavors' own `reset`.
+    pub(crate) fn reset(&mut self, allocation: NativeAllocation, items: usize, grain: usize) {
+        match self {
+            PhaseWat::Deterministic(wat) if allocation == NativeAllocation::Deterministic => {
+                wat.reset(items, grain)
+            }
+            PhaseWat::Randomized(wat) if allocation == NativeAllocation::Randomized => {
+                wat.reset(items, grain)
+            }
+            _ => *self = PhaseWat::new(allocation, items, grain),
+        }
+    }
+
+    /// Runs `work(item)` for every item as participant `tid` of a
+    /// nominal `nthreads` cohort; the LC-WAT seeds its probe sequence
+    /// with `tid` and ignores `nthreads`.
+    pub(crate) fn participate_with(
+        &self,
+        tid: usize,
+        nthreads: usize,
+        work: impl FnMut(usize),
+        keep_going: impl FnMut() -> bool,
+        ins: &impl Instrument,
+    ) {
+        match self {
+            PhaseWat::Deterministic(wat) => {
+                wat.participate_with(tid, nthreads, work, keep_going, ins)
+            }
+            PhaseWat::Randomized(wat) => wat.participate_with(tid as u64, work, keep_going, ins),
+        }
+    }
+
+    /// Whether all jobs are complete.
+    pub(crate) fn all_done(&self) -> bool {
+        match self {
+            PhaseWat::Deterministic(wat) => wat.all_done(),
+            PhaseWat::Randomized(wat) => wat.all_done(),
+        }
+    }
+
+    /// Jobs whose leaves are marked complete (diagnostics only).
+    pub(crate) fn done_jobs(&self) -> usize {
+        match self {
+            PhaseWat::Deterministic(wat) => wat.done_jobs(),
+            PhaseWat::Randomized(wat) => wat.done_jobs(),
+        }
+    }
+
+    /// Number of real jobs (leaf blocks).
+    pub(crate) fn jobs(&self) -> usize {
+        match self {
+            PhaseWat::Deterministic(wat) => wat.jobs(),
+            PhaseWat::Randomized(wat) => wat.jobs(),
+        }
+    }
+
+    /// Items per leaf block.
+    pub(crate) fn grain(&self) -> usize {
+        match self {
+            PhaseWat::Deterministic(wat) => wat.grain(),
+            PhaseWat::Randomized(wat) => wat.grain(),
         }
     }
 }

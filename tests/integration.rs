@@ -4,11 +4,12 @@
 
 use wait_free_sort::baselines::{BitonicNetwork, LockedParallelSorter, SimulatedNetworkSorter};
 use wait_free_sort::pram::{failure::FailurePlan, RandomScheduler, SyncScheduler};
+use wait_free_sort::testshapes::{few_distinct, sawtooth, uniform};
 use wait_free_sort::wfsort::low_contention::LowContentionSorter;
 use wait_free_sort::wfsort::{
     check_sorted_permutation, Allocation, PramSorter, SortConfig, Workload,
 };
-use wait_free_sort::wfsort_native::WaitFreeSorter;
+use wait_free_sort::wfsort_native::{NativeAllocation, SortArena, WaitFreeSorter};
 
 /// Every implementation sorts the same input to the same output.
 #[test]
@@ -196,6 +197,40 @@ fn algorithms_require_crcw() {
         .expect("one processor can never collide with itself");
     let out = prepared.layout.read_output(prepared.machine.memory());
     check_sorted_permutation(&keys, &out).unwrap();
+}
+
+/// A recycled arena keeps producing the stable sort across rounds of
+/// different lengths, key mixes and allocation flavors — storage reuse,
+/// not state reuse — and agrees with a fresh sort of the same keys.
+#[test]
+fn arena_reuse_matches_fresh_sorts() {
+    let sorter = WaitFreeSorter::new(2);
+    let mut arena = SortArena::new();
+    let mut out = Vec::new();
+    // The lengths shrink, grow past the first round, then shrink again;
+    // the flavor switch makes the arena rebuild its work trees.
+    for (round, (keys, allocation)) in [
+        (uniform(900, 13), NativeAllocation::Deterministic),
+        (few_distinct(800, 64, 13), NativeAllocation::Randomized),
+        (sawtooth(1000, 199), NativeAllocation::Randomized),
+        (uniform(300, 14), NativeAllocation::Deterministic),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let mut expect = keys.clone();
+        expect.sort();
+        let options = sorter.options().allocation(*allocation);
+        options.run_into(keys, &mut arena, &mut out);
+        assert_eq!(out, expect, "arena sort diverged on round {round}");
+        assert_eq!(
+            options.run(keys).sorted,
+            expect,
+            "fresh sort diverged on round {round}"
+        );
+        assert!(arena.is_warm(), "arena should retain storage after a sort");
+    }
+    assert_eq!(arena.recycled(), 3);
 }
 
 /// Heavyweight stress runs, excluded from the default suite; run with

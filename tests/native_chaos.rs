@@ -11,9 +11,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use wait_free_sort::testshapes::{few_distinct, sawtooth, uniform};
 use wait_free_sort::wfsort_native::{
-    ChaosParticipation, ChaosPlan, CheckpointCounter, Health, NativeAllocation, Participation,
-    QuitAfter, RunToCompletion, SortJob, WaitFreeSorter, Watchdog, WithDeadline,
+    recommended_grain, ChaosParticipation, ChaosPlan, CheckpointCounter, Health, NativeAllocation,
+    Participation, QuitAfter, RunToCompletion, SortJob, WaitFreeSorter, Watchdog, WithDeadline,
     DEFAULT_TRACKED_PARTICIPANTS,
 };
 
@@ -21,6 +22,14 @@ fn random_keys(n: usize, seed: u64) -> Vec<u64> {
     use prng::Prng;
     let mut rng = Prng::seed_from_u64(seed);
     (0..n).map(|_| rng.gen_range(0..1_000_000)).collect()
+}
+
+/// The oracle: 1-based indices of `keys` in a stable sort by key — the
+/// `(key, index)` order every native job must reproduce exactly.
+fn stable_permutation(keys: &[u64]) -> Vec<usize> {
+    let mut perm: Vec<usize> = (1..=keys.len()).collect();
+    perm.sort_by_key(|&i| keys[i - 1]);
+    perm
 }
 
 /// Drives `job` with one `ChaosParticipation` worker per plan slot and
@@ -457,4 +466,59 @@ fn default_job_counts_aliased_late_joiners() {
     assert_eq!(report.workers.len(), DEFAULT_TRACKED_PARTICIPANTS);
     let text = report.to_string();
     assert!(text.contains("[6 aliased]"), "got: {text}");
+}
+
+/// The crash storm above, swept across block grains: reap 75% of a
+/// 4-worker cohort at random checkpoints and require the survivors to
+/// finish the exact stable permutation at every grain. Block-grained
+/// claiming changes how much work a mid-block crash strands, so
+/// wait-freedom under churn must be re-proven per grain.
+#[test]
+fn chaos_storm_completes_across_grain_sweep() {
+    let keys = random_keys(600, 3);
+    let expect = stable_permutation(&keys);
+    for grain in [1usize, 2, 7, 64] {
+        for seed in 0..12u64 {
+            let plan = ChaosPlan::random_crashes(4, 0.75, 150, seed);
+            let job = SortJob::with_grain(keys.clone(), NativeAllocation::Deterministic, 4, grain);
+            assert!(
+                run_cohort(&job, &plan),
+                "B={grain} seed {seed}: cohort left the sort incomplete"
+            );
+            assert_eq!(job.permutation(), expect, "B={grain} seed {seed}");
+        }
+    }
+}
+
+/// Racing cohorts may split the work differently at every grain, but
+/// never the result: each run reproduces the stable permutation on the
+/// uniform, few-distinct (long equal-key chains) and sawtooth (highly
+/// predictable descents) shapes.
+#[test]
+fn concurrent_outputs_agree_across_grains() {
+    let n = 1500;
+    for (shape, keys) in [
+        ("uniform", uniform(n, 11)),
+        ("few-distinct", few_distinct(n, 64, 11)),
+        ("sawtooth", sawtooth(n, 199)),
+    ] {
+        let expect = stable_permutation(&keys);
+        for grain in [1usize, 2, 7, 64] {
+            let job = SortJob::with_grain(keys.clone(), NativeAllocation::Deterministic, 4, grain);
+            WaitFreeSorter::new(4).run_job(&job);
+            assert_eq!(job.permutation(), expect, "{shape}/B={grain}");
+        }
+    }
+}
+
+/// The recommended grain feeds the default constructors; pin its shape
+/// so the sweeps above provably cover the auto-selected values.
+#[test]
+fn recommended_grain_is_clamped_and_swept() {
+    assert_eq!(recommended_grain(4096, 1), 64, "big n, one worker: cap");
+    assert_eq!(recommended_grain(16, 4), 1, "tiny n: floor");
+    assert_eq!(recommended_grain(112, 7), 2);
+    assert_eq!(recommended_grain(4096, 8), 64);
+    assert_eq!(recommended_grain(1024, 2), 64);
+    assert_eq!(recommended_grain(1024, 16), 8);
 }

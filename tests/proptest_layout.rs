@@ -1,14 +1,11 @@
 //! Property tests for the packed pivot-tree layout (DESIGN.md §10): the
 //! branchless traversal-order helper against the simulator's bit
-//! decoder, and differential packed-vs-legacy sorting over random inputs
-//! and grains. Each property is a seeded loop over
+//! decoder. Each property is a seeded loop over
 //! [`testshapes::for_each_case`]; a failure names its case seed.
 
 use wait_free_sort::pram::Pid;
-use wait_free_sort::testshapes::{for_each_case, vec_of};
-use wait_free_sort::wfsort_native::{
-    descent_side, LegacySharedTree, NativeAllocation, Side, SortJob, WaitFreeSorter,
-};
+use wait_free_sort::testshapes::for_each_case;
+use wait_free_sort::wfsort_native::{descent_side, Side};
 
 /// `descent_side` must agree with the simulator's `Pid::bit` for every
 /// depth below `usize::BITS` — the two models must walk sum and place
@@ -26,51 +23,5 @@ fn descent_side_matches_simulator_bit() {
             descent_side(tid, depth),
             Side::from_bit(Pid::new(tid).bit(depth))
         );
-    });
-}
-
-/// Differential sort: for random keys (duplicates encouraged), thread
-/// counts and grains, the packed and legacy layouts both produce the
-/// sorted permutation — and single-threaded, their deterministic
-/// descent/CAS tallies are identical.
-#[test]
-fn packed_and_legacy_layouts_sort_identically() {
-    for_each_case("packed_and_legacy_layouts_sort_identically", 64, |rng| {
-        let keys = vec_of(rng, 2..200, |r| r.gen_range(0u64..64));
-        let threads = rng.gen_range(1usize..4);
-        let grain = [1usize, 2, 7, 64][rng.gen_range(0..4)];
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        let sorter = WaitFreeSorter::new(threads);
-
-        let packed = SortJob::with_grain(
-            keys.clone(),
-            NativeAllocation::Deterministic,
-            threads,
-            grain,
-        );
-        let pr = sorter.run_job_with_report(&packed);
-        assert_eq!(packed.into_sorted(), expect);
-
-        let legacy = SortJob::<u64, LegacySharedTree>::with_layout(
-            keys,
-            NativeAllocation::Deterministic,
-            threads,
-            grain,
-        );
-        let lr = sorter.run_job_with_report(&legacy);
-        assert_eq!(legacy.into_sorted(), expect);
-
-        if threads == 1 {
-            let (p, l) = (&pr.per_phase, &lr.per_phase);
-            assert_eq!(p.build.descent_steps, l.build.descent_steps);
-            assert_eq!(p.build.cas_attempts, l.build.cas_attempts);
-            assert_eq!(p.build.cas_failures, 0u64);
-            assert_eq!(l.build.cas_failures, 0u64);
-            assert_eq!(p.build.block_claims, l.build.block_claims);
-            assert_eq!(p.sum.visits, l.sum.visits);
-            assert_eq!(p.place.visits, l.place.visits);
-            assert_eq!(pr.total_ops(), lr.total_ops());
-        }
     });
 }
