@@ -5,11 +5,12 @@
 //! counter pins that make the sharded phases' claim traffic exact, and
 //! the E26d/E28 adversarial-shape battery proving the duplicate-robust
 //! partitioner holds `imbalance ≤ τ` on the shapes that break naive
-//! splitter sampling, the E26e/E29 classify-kernel A/B with the
-//! fused-histogram Fill-entry pin, and the E26f/E30 partition-strategy
-//! A/B pinning the in-place exchange's `aux_bytes ≤ B·P·8` cap and its
-//! strictly-smaller memory-traffic ledger — persisted as the
-//! schema-stable `BENCH_sharded.json` (v4) perf artifact.
+//! splitter sampling, the E26e/E29 classify timing (the interleaved
+//! splitter ladder against the `piece_by_search` reference) with the
+//! fused-histogram Fill-entry pin, and the E26f/E30 in-place ledger
+//! pinning the exchange's `aux_bytes ≤ B·P·8` cap and its exact
+//! crash-free move count — persisted as the schema-stable
+//! `BENCH_sharded.json` (v5) perf artifact.
 //!
 //! The sharded path ([`wfsort_native::ShardedSortJob`]) oversamples
 //! `S · overpartition_factor` splitter candidates, deduplicates them,
@@ -18,7 +19,7 @@
 //! flood lands in chunkable equality buckets instead of one overloaded
 //! shard. Buckets are assigned to shards greedily by measured size
 //! (LPT), and each shard sorts its units with its own small packed
-//! pivot tree (or a straight copy for equality/pre-sorted units). The
+//! pivot tree (equality and pre-sorted units are final as filled). The
 //! bucket fill preserves original-index order, so the sharded
 //! permutation is *identical* to the single-tree one, ties and all;
 //! every comparison row re-proves that.
@@ -39,9 +40,8 @@ use bench::json::SHARDED_SCHEMA;
 use bench::{f2, timed, validate_sharded_bench, write_artifact, Table};
 use wait_free_sort::testshapes;
 use wfsort_native::{
-    piece_by_search, recommended_grain, ClassifyKernel, MetricSlot, NativeAllocation,
-    PartitionStrategy, RunToCompletion, ShardConfig, ShardedSortJob, SortJob, SortOptions,
-    SplitterLadder, WaitFreeSorter,
+    piece_by_search, recommended_grain, MetricSlot, NativeAllocation, RunToCompletion,
+    ShardedSortJob, SortJob, SortOptions, SplitterLadder, WaitFreeSorter,
 };
 
 /// The throughput-sweep trio (the E24/E25 lineage, now drawn from the
@@ -132,70 +132,31 @@ fn time_single(keys: &[u64], threads: usize, repeats: usize) -> (f64, Vec<usize>
     (best, perm, ok)
 }
 
-/// Best-of-`repeats` single-threaded wall time for the sharded path
-/// with `kernel` forced on, plus the (deterministic) permutation and
-/// whether every run's output was sorted. Single-threaded on purpose:
-/// the kernel A/B is a superscalar-throughput question, and on this
-/// repo's 1-CPU reference host multi-thread timings measure the
-/// timeslicer, not the kernel.
-/// One full single-threaded sharded sort under `kernel`, for the E26e
-/// parity columns: the permutation it produced and whether that
-/// permutation sorts `keys`. Untimed — end-to-end sort time is
-/// dominated by the per-shard sorts, whose run-to-run noise would
-/// swamp the kernel delta the A/B exists to measure.
-fn sort_with(keys: &[u64], shards: usize, kernel: ClassifyKernel) -> (Vec<usize>, bool) {
-    let job = ShardedSortJob::with_config(
-        keys.to_vec(),
-        NativeAllocation::Deterministic,
-        1,
-        shards,
-        ShardConfig {
-            classify_kernel: kernel,
-            ..ShardConfig::default()
-        },
-    );
-    job.run();
-    let perm = job.permutation();
-    let ok = perm_is_sorted(keys, &perm);
-    (perm, ok)
-}
-
 /// Best-of-`repeats` time for one classification pass over all of
-/// `keys` against a real job's sampled `splitters` — the work the
-/// kernel knob actually changes. The ladder arm replicates the block
-/// kernel's interleaved walk (8 lanes through
-/// [`SplitterLadder::piece_for_lanes`], per-key tail); the baseline is
-/// the per-key [`piece_by_search`]. Piece ids are accumulated and
-/// black-boxed so neither pass can be optimized away.
-fn time_classify(keys: &[u64], splitters: &[u64], kernel: ClassifyKernel, repeats: usize) -> f64 {
-    let ladder = SplitterLadder::new(splitters);
+/// `keys`, plus the pass's checksum (the sum of the piece ids, so the
+/// two passes can be compared and neither can be optimized away).
+fn time_classify(keys: &[u64], repeats: usize, pass: impl Fn(&[u64]) -> usize) -> (f64, usize) {
     let mut best = f64::INFINITY;
+    let mut sum = 0;
     for _ in 0..repeats {
-        let mut acc = 0usize;
-        let (_, secs) = timed(|| match kernel {
-            ClassifyKernel::Ladder => {
-                let chunks = keys.chunks_exact(8);
-                let tail = chunks.remainder();
-                for chunk in chunks {
-                    let lanes: [&u64; 8] = std::array::from_fn(|j| &chunk[j]);
-                    for piece in ladder.piece_for_lanes(lanes) {
-                        acc += piece;
-                    }
-                }
-                for key in tail {
-                    acc += ladder.piece_for(key);
-                }
-            }
-            _ => {
-                for key in keys {
-                    acc += piece_by_search(splitters, key);
-                }
-            }
-        });
-        std::hint::black_box(acc);
+        let (acc, secs) = timed(|| pass(keys));
+        sum = std::hint::black_box(acc);
         best = best.min(secs);
     }
-    best
+    (best, sum)
+}
+
+/// The Partition phase's classification work: the interleaved walk (8
+/// lanes through [`SplitterLadder::piece_for_lanes`], per-key tail).
+fn ladder_pass(ladder: &SplitterLadder<u64>, keys: &[u64]) -> usize {
+    let chunks = keys.chunks_exact(8);
+    let tail = chunks.remainder();
+    let mut acc = 0usize;
+    for chunk in chunks {
+        let lanes: [&u64; 8] = std::array::from_fn(|j| &chunk[j]);
+        acc += ladder.piece_for_lanes(lanes).iter().sum::<usize>();
+    }
+    acc + tail.iter().map(|key| ladder.piece_for(key)).sum::<usize>()
 }
 
 fn main() -> ExitCode {
@@ -507,17 +468,16 @@ fn main() -> ExitCode {
          N = {cross_n} above)"
     ));
 
-    // E26e — classify-kernel A/B (EXPERIMENTS.md E29). Both kernels
-    // sort the same keys single-threaded and their permutations are
-    // asserted equal inline (the kernel is a pure throughput knob);
-    // the timed columns then A/B one classification pass over all N
-    // keys against the instrumented job's real sampled splitters —
-    // the work the knob changes, isolated from per-shard sort noise.
-    // The instrumented ladder run contributes the fused-histogram
-    // telemetry the validator re-pins: `fill_setup_steps` must be
-    // exactly B·P — the Fill-entry scan the fusion deleted was O(n).
-    // In full mode the uniform rows are the acceptance gate: best-of
-    // ladder time must not regress past the binary-search baseline.
+    // E26e — classify timing (EXPERIMENTS.md E29). One instrumented
+    // lone-worker sort per row supplies the real sampled splitters and
+    // the fused-histogram telemetry the validator re-pins:
+    // `fill_setup_steps` must be exactly B·P — the Fill-entry scan the
+    // fusion deleted was O(n) — and the permutation must equal the
+    // stable `(key, index)` oracle. The timed columns then run one
+    // classification pass over all N keys through the ladder and
+    // through the `piece_by_search` reference, whose checksums must
+    // agree. In full mode the uniform rows are the acceptance gate:
+    // best-of ladder time must not regress past the reference.
     let n_classify = if quick { 20_000 } else { 1_000_000 };
     let classify_repeats = if quick { 2 } else { 5 };
     let mut classify = Vec::new();
@@ -531,53 +491,45 @@ fn main() -> ExitCode {
         "B·P setup",
     ]);
     for (shape, keys) in shapes(n_classify) {
+        let oracle = stable_permutation(&keys);
         for &shards in &[8usize, 64] {
-            let (binary_perm, binary_ok) = sort_with(&keys, shards, ClassifyKernel::BinarySearch);
-            let (ladder_perm, ladder_ok) = sort_with(&keys, shards, ClassifyKernel::Ladder);
-            assert!(
-                binary_ok && ladder_ok,
-                "kernel output unsorted at {shards}x{shape}"
-            );
-            assert_eq!(
-                ladder_perm, binary_perm,
-                "kernel permutation mismatch at {shards}x{shape}"
-            );
-
-            // One instrumented lone-worker run for the telemetry row
-            // and the splitter set both timed passes walk.
-            let job = ShardedSortJob::with_config(
+            let job = ShardedSortJob::with_workers(
                 keys.to_vec(),
                 NativeAllocation::Deterministic,
                 1,
                 shards,
-                ShardConfig {
-                    classify_kernel: ClassifyKernel::Ladder,
-                    ..ShardConfig::default()
-                },
             );
             let slot = MetricSlot::new();
             job.participate_instrumented(&mut RunToCompletion, &slot);
             let m = slot.snapshot();
             let (blocks, pieces) = (job.partition_blocks(), job.buckets());
-
-            let binary_ms = time_classify(
-                &keys,
-                job.splitters(),
-                ClassifyKernel::BinarySearch,
-                classify_repeats,
+            let perm = job.permutation();
+            assert!(
+                perm_is_sorted(&keys, &perm),
+                "output unsorted at {shards}x{shape}"
             );
-            let ladder_ms = time_classify(
-                &keys,
-                job.splitters(),
-                ClassifyKernel::Ladder,
-                classify_repeats,
+            assert_eq!(
+                perm, oracle,
+                "permutation vs stable oracle at {shards}x{shape}"
+            );
+
+            let splitters = job.splitters();
+            let ladder = SplitterLadder::new(splitters);
+            let (binary_ms, binary_sum) = time_classify(&keys, classify_repeats, |keys| {
+                keys.iter().map(|key| piece_by_search(splitters, key)).sum()
+            });
+            let (ladder_ms, ladder_sum) =
+                time_classify(&keys, classify_repeats, |keys| ladder_pass(&ladder, keys));
+            assert_eq!(
+                ladder_sum, binary_sum,
+                "{shape} S={shards}: ladder and reference classified differently"
             );
             let speedup = binary_ms / ladder_ms.max(f64::EPSILON);
             if !quick && shape == "uniform-random" {
                 assert!(
                     speedup >= 1.0,
                     "{shape} S={shards}: ladder regressed to {speedup:.3}x of the \
-                     binary-search baseline at N = {n_classify} (best of \
+                     binary-search reference at N = {n_classify} (best of \
                      {classify_repeats})"
                 );
             }
@@ -620,108 +572,94 @@ fn main() -> ExitCode {
         }
     }
     e.print(&format!(
-        "E26e: classify-kernel A/B at N = {n_classify} (one classification \
+        "E26e: classify timing at N = {n_classify} (one classification \
          pass over all N keys against the job's real splitters, best of \
          {classify_repeats}; speedup = binary/ladder, > 1 means the \
-         interleaved ladder won; full sorts matched permutations; \
-         fill-entry setup pinned at B·P)"
+         interleaved ladder beat the piece_by_search reference; every \
+         sort matched the stable oracle; fill-entry setup pinned at B·P)"
     ));
 
-    // E26f — partition-strategy A/B (EXPERIMENTS.md E30, the ISSUE-10
-    // memory-traffic ledger). For every throughput shape, the same keys
-    // are sorted by an instrumented lone worker under both strategies.
-    // Four claims are asserted in-binary before anything reaches the
-    // artifact (the validator then recomputes them from the rows):
-    // the permutations are bit-identical; the in-place run's auxiliary
-    // allocation is at most the B·P·8 destination-offset table (the
-    // materialized run's N-word bucket buffer is gone); the in-place
-    // Fill/publish pipeline touches strictly fewer shared-array bytes;
-    // and a crash-free run never tears a unit (cycle_restarts = 0).
+    // E26f — the in-place ledger (EXPERIMENTS.md E30). For every
+    // throughput shape an instrumented lone worker sorts the keys, and
+    // four claims are asserted in-binary before anything reaches the
+    // artifact (the validator then recomputes them from the rows): the
+    // permutation equals the stable oracle; the auxiliary allocation is
+    // at most the B·P·8 destination-offset table; a crash-free run
+    // never tears a unit (cycle_restarts = 0); and the run moved
+    // exactly n + range_slots elements — every element once through
+    // the fill, plus one republication per range-bucket slot
+    // (equality buckets are final at fill time).
     let n_inplace = if quick { 20_000 } else { 1_000_000 };
     let mut inplace = Vec::new();
     let mut f = Table::new(&[
         "shape",
         "shards",
-        "aux inpl",
-        "aux mat",
-        "bytes inpl",
-        "bytes mat",
-        "saved",
-        "moves inpl/mat",
+        "aux bytes",
+        "B·P·8 cap",
+        "range slots",
+        "moves",
+        "bytes touched",
     ]);
     for (shape, keys) in shapes(n_inplace) {
+        let oracle = stable_permutation(&keys);
         for &shards in &[8usize, 64] {
-            let run = |strategy: PartitionStrategy| {
-                let job = ShardedSortJob::with_config(
-                    keys.to_vec(),
-                    NativeAllocation::Deterministic,
-                    1,
-                    shards,
-                    ShardConfig {
-                        partition_strategy: strategy,
-                        ..ShardConfig::default()
-                    },
-                );
-                let slot = MetricSlot::new();
-                job.participate_instrumented(&mut RunToCompletion, &slot);
-                let m = slot.snapshot();
-                let bytes = m.phases.fill.bytes_touched + m.phases.shard_sort.bytes_touched;
-                let (blocks, pieces) = (job.partition_blocks(), job.buckets());
-                (job.permutation(), job.shard_report(), bytes, blocks, pieces)
-            };
-            let (mat_perm, mat_report, mat_bytes, blocks, pieces) =
-                run(PartitionStrategy::Materialized);
-            let (inp_perm, inp_report, inp_bytes, _, _) = run(PartitionStrategy::InPlace);
+            let job = ShardedSortJob::with_workers(
+                keys.to_vec(),
+                NativeAllocation::Deterministic,
+                1,
+                shards,
+            );
+            let slot = MetricSlot::new();
+            job.participate_instrumented(&mut RunToCompletion, &slot);
+            let m = slot.snapshot();
+            let bytes = m.phases.fill.bytes_touched + m.phases.shard_sort.bytes_touched;
+            let (blocks, pieces) = (job.partition_blocks(), job.buckets());
+            let report = job.shard_report();
+            let perm = job.permutation();
             assert!(
-                perm_is_sorted(&keys, &inp_perm),
-                "in-place output unsorted at {shards}x{shape}"
+                perm_is_sorted(&keys, &perm),
+                "output unsorted at {shards}x{shape}"
             );
             assert_eq!(
-                inp_perm, mat_perm,
-                "strategy permutation mismatch at {shards}x{shape}"
+                perm, oracle,
+                "permutation vs stable oracle at {shards}x{shape}"
             );
-            assert_eq!(inp_report.strategy, PartitionStrategy::InPlace);
             let aux_cap = (blocks * pieces) as u64 * 8;
             assert!(
-                inp_report.aux_bytes <= aux_cap,
-                "{shape} S={shards}: in-place aux {} bytes exceeds the \
-                 B·P·8 cap {aux_cap}",
-                inp_report.aux_bytes
+                report.aux_bytes <= aux_cap,
+                "{shape} S={shards}: aux {} bytes exceeds the B·P·8 cap {aux_cap}",
+                report.aux_bytes
             );
-            assert!(
-                inp_bytes < mat_bytes,
-                "{shape} S={shards}: in-place ledger {inp_bytes} bytes not \
-                 strictly below materialized {mat_bytes}"
-            );
-            assert!(
-                inp_report.moves <= mat_report.moves,
-                "{shape} S={shards}: in-place moved {} elements, \
-                 materialized {}",
-                inp_report.moves,
-                mat_report.moves
+            let range_slots: usize = report
+                .buckets
+                .iter()
+                .filter(|b| !b.equality)
+                .map(|b| b.size)
+                .sum();
+            assert_eq!(
+                report.moves,
+                (n_inplace + range_slots) as u64,
+                "{shape} S={shards}: a crash-free run moves n + range_slots elements"
             );
             assert_eq!(
-                inp_report.cycle_restarts, 0,
+                report.cycle_restarts, 0,
                 "{shape} S={shards}: crash-free run tore a unit"
             );
-            let saved = 100.0 * (1.0 - inp_bytes as f64 / mat_bytes as f64);
             f.row(vec![
                 shape.into(),
                 shards.to_string(),
-                inp_report.aux_bytes.to_string(),
-                mat_report.aux_bytes.to_string(),
-                inp_bytes.to_string(),
-                mat_bytes.to_string(),
-                format!("{saved:.0}%"),
-                format!("{}/{}", inp_report.moves, mat_report.moves),
+                report.aux_bytes.to_string(),
+                aux_cap.to_string(),
+                range_slots.to_string(),
+                report.moves.to_string(),
+                bytes.to_string(),
             ]);
             inplace.push(format!(
                 concat!(
                     "{{\"shape\":\"{}\",\"n\":{},\"shards\":{},",
                     "\"partition_blocks\":{},\"buckets\":{},",
                     "\"aux_bytes\":{},\"aux_cap\":{},",
-                    "\"moves_inplace\":{},\"moves_materialized\":{},",
-                    "\"bytes_inplace\":{},\"bytes_materialized\":{},",
+                    "\"range_slots\":{},\"moves\":{},\"bytes_touched\":{},",
                     "\"cycle_restarts\":{},\"sorted\":true,",
                     "\"permutation_match\":true}}"
                 ),
@@ -730,22 +668,21 @@ fn main() -> ExitCode {
                 shards,
                 blocks,
                 pieces,
-                inp_report.aux_bytes,
+                report.aux_bytes,
                 aux_cap,
-                inp_report.moves,
-                mat_report.moves,
-                inp_bytes,
-                mat_bytes,
-                inp_report.cycle_restarts,
+                range_slots,
+                report.moves,
+                bytes,
+                report.cycle_restarts,
             ));
         }
     }
     f.print(&format!(
-        "E26f: partition-strategy A/B at N = {n_inplace} (lone instrumented \
+        "E26f: in-place ledger at N = {n_inplace} (lone instrumented \
          worker; aux = bytes of auxiliary allocation beyond the output \
-         permutation, capped at B·P·8 in-place; bytes = Fill + shard-sort \
-         shared-array ledger, asserted strictly smaller in-place; every \
-         row's permutations matched element-for-element)"
+         permutation, capped at B·P·8; moves = n + range slots exactly in \
+         a crash-free run; bytes = Fill + shard-sort shared-array ledger; \
+         every row's permutation matched the stable oracle)"
     ));
 
     let artifact = format!(
@@ -802,8 +739,8 @@ fn main() -> ExitCode {
          the WAT machinery keeps the fault story: a crashed worker's \
          shard is redone whole by survivors. The in-place exchange keeps \
          the paper's low-contention discipline — disjoint writes, \
-         monotone slot states — while retiring the N-word bucket buffer \
-         for a B·P offset table. Timings above are from a single shared \
+         monotone slot states — with a B·P offset table as its only \
+         auxiliary allocation. Timings above are from a single shared \
          host; the permutation-parity, counter-pin, adversarial-balance, \
          and memory-ledger columns are the load-bearing ones."
     );

@@ -467,10 +467,18 @@ pub fn validate_layout_bench(text: &str) -> Result<usize, String> {
     Ok(sweep.len() + arena.len())
 }
 
-/// The schema tag `e26_sharded_bench` writes. v4 added the required
-/// `inplace` section — the ISSUE-10 partition-strategy A/B rows with
-/// the auxiliary-memory cap and the memory-traffic-ledger pin.
-pub const SHARDED_SCHEMA: &str = "wfsort-native-sharded/v4";
+/// The schema tag `e26_sharded_bench` writes. v5 made the `inplace`
+/// section the in-place ledger of the only Fill pipeline — the
+/// auxiliary-memory cap plus an exact crash-free move count, with no
+/// materialized comparison columns — and the `classify` rows' parity
+/// flag a check against the stable `(key, index)` oracle.
+pub const SHARDED_SCHEMA: &str = "wfsort-native-sharded/v5";
+
+/// A retired sharded schema tag: v4's `inplace` rows compared the
+/// in-place exchange against a materialized exchange that no longer
+/// exists, so v4 documents are rejected with a pointer at the current
+/// tag, like v3, v2 and v1 before it.
+pub const SHARDED_SCHEMA_V4: &str = "wfsort-native-sharded/v4";
 
 /// A retired sharded schema tag. Its one-release migration window (the
 /// v4 release) is over: v3 documents are now rejected with a pointer at
@@ -507,25 +515,28 @@ pub const SHARDED_SCHEMA_V1: &str = "wfsort-native-sharded/v1";
 ///   (`within_requested`) and that the permutation matched the stable
 ///   `(key, index)` oracle (`permutation_match`), with the populated
 ///   `equality_buckets` count alongside;
-/// * `classify` (required since v3): the kernel A/B rows — both
-///   kernels' best times with `speedup = binary_ms / ladder_ms`, proof
-///   the kernels agreed (`permutation_match`) and sorted, and the fused
-///   Fill-entry pin: the validator recomputes `fill_setup_steps =
-///   partition_blocks × buckets` (O(B·P), not O(n)) and requires the
-///   lone instrumented run to have classified every block
-///   (`kernel_blocks = partition_blocks`);
-/// * `inplace` (required by v4): the partition-strategy A/B rows —
-///   every entry pins the auxiliary-memory bound (`aux_bytes <=
-///   aux_cap`, where `aux_cap = B·P·8` is recomputed from
-///   `partition_blocks × buckets × 8`), the memory-traffic ledger
-///   (`bytes_inplace < bytes_materialized`, strict), the move ledger
-///   (`moves_inplace <= moves_materialized`), a crash-free run
-///   (`cycle_restarts = 0`), and proof both strategies produced the
-///   identical permutation (`permutation_match`) and sorted.
+/// * `classify` (required since v3): the classify timing rows — the
+///   ladder's and the `piece_by_search` reference's best times with
+///   `speedup = binary_ms / ladder_ms`, proof the instrumented sort
+///   matched the stable oracle (`permutation_match`) and sorted, and
+///   the fused Fill-entry pin: the validator recomputes
+///   `fill_setup_steps = partition_blocks × buckets` (O(B·P), not
+///   O(n)) and requires the lone instrumented run to have classified
+///   every block (`kernel_blocks = partition_blocks`);
+/// * `inplace` (required; v5 shape): the in-place ledger rows — every
+///   entry pins the auxiliary-memory bound (`aux_bytes <= aux_cap`,
+///   where `aux_cap = B·P·8` is recomputed from `partition_blocks ×
+///   buckets × 8`), the exact crash-free move count (`moves = n +
+///   range_slots`: one fill store per element plus one republication
+///   per range-bucket slot, with `range_slots <= n`), a crash-free run
+///   (`cycle_restarts = 0`), and proof the permutation matched the
+///   stable oracle (`permutation_match`) and sorted; `bytes_touched`
+///   is the Fill + shard-sort traffic ledger.
 ///
-/// [`SHARDED_SCHEMA`] (v4) documents are fully enforced. The retired
-/// [`SHARDED_SCHEMA_V3`], [`SHARDED_SCHEMA_V2`] and [`SHARDED_SCHEMA_V1`]
-/// tags had their windows and are rejected with an explicit message.
+/// [`SHARDED_SCHEMA`] (v5) documents are fully enforced. The retired
+/// [`SHARDED_SCHEMA_V4`], [`SHARDED_SCHEMA_V3`], [`SHARDED_SCHEMA_V2`]
+/// and [`SHARDED_SCHEMA_V1`] tags are rejected with an explicit
+/// message.
 ///
 /// Returns the number of comparison + counter-pin + adversarial +
 /// classify + inplace entries.
@@ -533,6 +544,14 @@ pub fn validate_sharded_bench(text: &str) -> Result<usize, String> {
     let doc = Json::parse(text)?;
     match doc.get("schema").and_then(Json::as_str) {
         Some(SHARDED_SCHEMA) => {}
+        Some(SHARDED_SCHEMA_V4) => {
+            return Err(format!(
+                "schema: {SHARDED_SCHEMA_V4} is no longer accepted (its \
+                 inplace rows compare against the retired materialized \
+                 exchange) — regenerate the artifact with e26_sharded_bench, \
+                 which emits {SHARDED_SCHEMA}"
+            ))
+        }
         Some(retired @ (SHARDED_SCHEMA_V3 | SHARDED_SCHEMA_V2 | SHARDED_SCHEMA_V1)) => {
             return Err(format!(
                 "schema: {retired} is no longer accepted (its one-release \
@@ -819,10 +838,9 @@ pub fn validate_sharded_bench(text: &str) -> Result<usize, String> {
             "buckets",
             "aux_bytes",
             "aux_cap",
-            "moves_inplace",
-            "moves_materialized",
-            "bytes_inplace",
-            "bytes_materialized",
+            "range_slots",
+            "moves",
+            "bytes_touched",
             "cycle_restarts",
         ] {
             let v = entry
@@ -851,22 +869,22 @@ pub fn validate_sharded_bench(text: &str) -> Result<usize, String> {
                 get("aux_bytes")
             ));
         }
-        // The memory-traffic-ledger claim: the in-place Fill/publish
-        // pipeline touches strictly fewer shared-array bytes than the
-        // materialized one on every shape.
-        if get("bytes_inplace") >= get("bytes_materialized") {
+        // The move-ledger claim: a crash-free run stores every element
+        // once through the fill and republishes each range-bucket slot
+        // once; equality buckets are final at fill time.
+        if get("range_slots") > get("n") {
             return Err(format!(
-                "inplace[{at}].bytes_inplace: {} not strictly below \
-                 bytes_materialized = {}",
-                get("bytes_inplace"),
-                get("bytes_materialized")
+                "inplace[{at}].range_slots: {} exceeds n = {}",
+                get("range_slots"),
+                get("n")
             ));
         }
-        if get("moves_inplace") > get("moves_materialized") {
+        if get("moves") != get("n") + get("range_slots") {
             return Err(format!(
-                "inplace[{at}].moves_inplace: {} exceeds moves_materialized = {}",
-                get("moves_inplace"),
-                get("moves_materialized")
+                "inplace[{at}].moves: {}, expected n + range_slots = {} \
+                 (one fill store per element, one republication per range slot)",
+                get("moves"),
+                get("n") + get("range_slots")
             ));
         }
         if get("cycle_restarts") != 0 {
@@ -1345,8 +1363,8 @@ mod tests {
                     {{"shape": "uniform-random", "n": 20000, "shards": 8,
                       "partition_blocks": 8, "buckets": 15,
                       "aux_bytes": 960, "aux_cap": 960,
-                      "moves_inplace": 39000, "moves_materialized": 40000,
-                      "bytes_inplace": 500000, "bytes_materialized": 640000,
+                      "range_slots": 19000, "moves": 39000,
+                      "bytes_touched": 500000,
                       "cycle_restarts": 0, "sorted": true,
                       "permutation_match": true}}
                 ]}}"#
@@ -1360,10 +1378,15 @@ mod tests {
 
     #[test]
     fn retired_sharded_schema_tags_are_rejected_with_a_pointer() {
-        // v1, v2 and v3 had their one-release migration windows: a
-        // document carrying any of those tags is rejected even if its
-        // body would otherwise validate, and the message says what to do.
-        for retired in [SHARDED_SCHEMA_V1, SHARDED_SCHEMA_V2, SHARDED_SCHEMA_V3] {
+        // v1–v4 are retired: a document carrying any of those tags is
+        // rejected even if its body would otherwise validate, and the
+        // message says what to do.
+        for retired in [
+            SHARDED_SCHEMA_V1,
+            SHARDED_SCHEMA_V2,
+            SHARDED_SCHEMA_V3,
+            SHARDED_SCHEMA_V4,
+        ] {
             let doc = valid_sharded_doc().replace(SHARDED_SCHEMA, retired);
             let err = validate_sharded_bench(&doc).unwrap_err();
             assert!(err.contains(retired), "unexpected error: {err}");
@@ -1401,19 +1424,25 @@ mod tests {
             .unwrap_err()
             .contains("aux_cap"));
 
-        // The traffic ledger is a strict inequality: equal bytes means
-        // the in-place path saved nothing.
-        let doc =
-            valid_sharded_doc().replace(r#""bytes_inplace": 500000"#, r#""bytes_inplace": 640000"#);
+        // The move count is exact: one extra store means an element
+        // was moved twice in a crash-free run.
+        let doc = valid_sharded_doc().replace(r#""moves": 39000"#, r#""moves": 39001"#);
+        let err = validate_sharded_bench(&doc).unwrap_err();
+        assert!(err.contains("n + range_slots"), "unexpected error: {err}");
+
+        let doc = valid_sharded_doc().replace(
+            r#""range_slots": 19000, "moves": 39000"#,
+            r#""range_slots": 20001, "moves": 40001"#,
+        );
         assert!(validate_sharded_bench(&doc)
             .unwrap_err()
-            .contains("bytes_inplace"));
+            .contains("range_slots"));
 
         let doc =
-            valid_sharded_doc().replace(r#""moves_inplace": 39000"#, r#""moves_inplace": 40001"#);
+            valid_sharded_doc().replace(r#""bytes_touched": 500000"#, r#""bytes_touched": -1"#);
         assert!(validate_sharded_bench(&doc)
             .unwrap_err()
-            .contains("moves_inplace"));
+            .contains("bytes_touched"));
 
         let doc = valid_sharded_doc().replace(r#""cycle_restarts": 0"#, r#""cycle_restarts": 2"#);
         assert!(validate_sharded_bench(&doc)

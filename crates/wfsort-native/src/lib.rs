@@ -91,10 +91,7 @@ pub use service::{
     JobError, JobOptions, JobReport, JobResult, JobTicket, Rejected, ServiceConfig, ServiceStats,
     SortService,
 };
-pub use shard::{
-    piece_by_search, recommended_shards, ClassifyKernel, PartitionStrategy, ShardConfig,
-    ShardedSortJob, SplitterLadder, IN_PLACE_AUTO_MIN, LADDER_AUTO_MAX_SPLITTERS,
-};
+pub use shard::{piece_by_search, recommended_shards, ShardConfig, ShardedSortJob, SplitterLadder};
 pub use sorter::{sort_with_churn, SortOptions, SortOutcome, UntilFlag, WaitFreeSorter};
 pub use tree::{SharedTree, Side, EMPTY};
 pub use wat::{Assignment, AtomicWat};

@@ -67,9 +67,7 @@ use crate::arena::SortArena;
 use crate::fault::{ChaosParticipation, ChaosPlan, SharedBudget};
 use crate::job::{recommended_grain, NativeAllocation, Participation, SortJob};
 use crate::metrics::{MetricSlot, SortReport, WorkerMetrics};
-use crate::shard::{
-    recommended_shards, ClassifyKernel, PartitionStrategy, ShardConfig, ShardedSortJob,
-};
+use crate::shard::{recommended_shards, ShardedSortJob};
 use crate::watchdog::{ProgressReport, WatchdogRegistry};
 
 /// Configuration for [`SortService::start`]. All knobs have serviceable
@@ -83,8 +81,6 @@ pub struct ServiceConfig {
     small_batch: usize,
     max_recoveries: usize,
     default_deadline: Option<Duration>,
-    classify_kernel: ClassifyKernel,
-    partition_strategy: PartitionStrategy,
 }
 
 impl Default for ServiceConfig {
@@ -99,8 +95,6 @@ impl Default for ServiceConfig {
             small_batch: 8,
             max_recoveries: 2,
             default_deadline: None,
-            classify_kernel: ClassifyKernel::Auto,
-            partition_strategy: PartitionStrategy::Auto,
         }
     }
 }
@@ -170,28 +164,6 @@ impl ServiceConfig {
     /// Deadline applied to jobs whose [`JobOptions`] set none.
     pub fn default_deadline(mut self, deadline: Duration) -> Self {
         self.default_deadline = Some(deadline);
-        self
-    }
-
-    /// The [`ClassifyKernel`] every sharded-route job runs — the
-    /// default `Auto` resolves per job by splitter count. A service
-    /// knob rather than a per-job one: the kernel changes throughput
-    /// only, never an output byte, so it belongs with the other
-    /// routing defaults.
-    pub fn classify_kernel(mut self, kernel: ClassifyKernel) -> Self {
-        self.classify_kernel = kernel;
-        self
-    }
-
-    /// The [`PartitionStrategy`] every sharded-route job runs — the
-    /// default `Auto` resolves per job by input size, so tenants past
-    /// the sharded cutoff (which sits above
-    /// [`IN_PLACE_AUTO_MIN`](crate::IN_PLACE_AUTO_MIN) by default) get
-    /// the in-place memory win automatically. Like the kernel knob this
-    /// never changes an output byte, so it belongs with the routing
-    /// defaults rather than [`JobOptions`].
-    pub fn partition_strategy(mut self, strategy: PartitionStrategy) -> Self {
-        self.partition_strategy = strategy;
         self
     }
 }
@@ -741,16 +713,11 @@ impl<K: Ord + Clone + Send + Sync + 'static> SortService<K> {
                 // their fault scripts at shard granularity, exactly
                 // like single-tree stints replay theirs.
                 let shards = recommended_shards(n, helpers);
-                Work::SharedSharded(Box::new(ShardedSortJob::with_config(
+                Work::SharedSharded(Box::new(ShardedSortJob::with_workers(
                     keys,
                     NativeAllocation::Deterministic,
                     tracked,
                     shards,
-                    ShardConfig {
-                        classify_kernel: inner.config.classify_kernel,
-                        partition_strategy: inner.config.partition_strategy,
-                        ..ShardConfig::default()
-                    },
                 )))
             } else {
                 let grain = recommended_grain(n, helpers);
@@ -1304,46 +1271,24 @@ mod tests {
     }
 
     #[test]
-    fn service_partition_strategy_reaches_the_sharded_job() {
-        // The routing knob must flow through to the job: an explicit
-        // in-place service sorts identically and its report shows the
-        // in-place strategy with aux memory pinned to the B·P offset
-        // table, while the default Auto resolves by input size (this
-        // n sits under IN_PLACE_AUTO_MIN, so it materializes).
+    fn small_sharded_service_jobs_allocate_only_the_offsets_table() {
+        // A small sharded-route job sorts correctly and reports the B·P
+        // offsets table as its entire auxiliary allocation: no n-word
+        // intermediate at any input size.
         let keys = random_keys(6_000, 905);
-        let in_place = SortService::start(
-            ServiceConfig::default()
-                .workers(2)
-                .sharded_cutoff(2_000)
-                .partition_strategy(PartitionStrategy::InPlace),
-        );
-        let result = in_place
+        let service = SortService::start(ServiceConfig::default().workers(2).sharded_cutoff(2_000));
+        let result = service
             .submit(keys.clone(), JobOptions::default())
             .unwrap()
             .wait();
         assert_eq!(result.sorted.unwrap(), expect_sorted(&keys));
         let shard = result.report.sort.shard.expect("sharded payload");
-        assert_eq!(shard.strategy, PartitionStrategy::InPlace);
         assert_eq!(
             shard.aux_bytes,
             (shard.partition_blocks * shard.buckets.len()) as u64 * 8,
-            "in-place aux memory is the offsets table alone"
+            "aux memory is the offsets table alone"
         );
-        in_place.shutdown();
-
-        let auto = SortService::start(ServiceConfig::default().workers(2).sharded_cutoff(2_000));
-        let result = auto
-            .submit(keys.clone(), JobOptions::default())
-            .unwrap()
-            .wait();
-        assert_eq!(result.sorted.unwrap(), expect_sorted(&keys));
-        let shard = result.report.sort.shard.expect("sharded payload");
-        assert_eq!(
-            shard.strategy,
-            PartitionStrategy::Materialized,
-            "Auto below IN_PLACE_AUTO_MIN keeps the bucket intermediate"
-        );
-        auto.shutdown();
+        service.shutdown();
     }
 
     #[test]

@@ -20,36 +20,41 @@
 //!    duplicate floods and heavy skew harmless: an all-equal input
 //!    deduplicates to a single splitter and lands entirely in its
 //!    equality bucket. Workers claim blocks of elements from a WAT and
-//!    classify each block with the configured [`ClassifyKernel`] — the
-//!    scalar binary search or the branchless [`SplitterLadder`], both
-//!    computing the identical bucket ids — publishing `piece_of[i]`
-//!    *and* the block's per-bucket histogram into a per-block counts
-//!    table. All of these stores are benign races: every claimant
-//!    computes the same deterministic values.
+//!    classify each block with the branchless [`SplitterLadder`] (eight
+//!    keys per interleaved walk; [`piece_by_search`] is the reference
+//!    it is pinned against), publishing `piece_of[i]` *and* the block's
+//!    per-bucket histogram into a per-block counts table. All of these
+//!    stores are benign races: every claimant computes the same
+//!    deterministic values.
 //! 2. **Fill** — workers claim partition blocks from a second WAT and
-//!    copy each element's index into its bucket's contiguous range of
-//!    the bucket array. Entering the phase costs each participant only
-//!    an `O(B·P)` prefix-sum reduction over the fused histograms (not
-//!    an `O(n)` rescan of the classifications). Destinations are a
-//!    pure function of the completed classification (block-major,
-//!    original order within a block), so redone blocks rewrite
-//!    identical values — and the within-bucket order preserves the
-//!    original index order, which is what makes the sharded
-//!    permutation *identical* to the single-tree one, ties and all.
+//!    write each element's index straight into its bucket's contiguous
+//!    range of the output permutation. Entering the phase costs each
+//!    participant only an `O(B·P)` prefix-sum reduction over the fused
+//!    histograms (not an `O(n)` rescan of the classifications).
+//!    Destinations are a pure function of the completed classification
+//!    (block-major, original order within a block), so the
+//!    within-bucket order preserves the original index order — which
+//!    is what makes the sharded permutation *identical* to the
+//!    single-tree one, ties and all. Equality buckets are already in
+//!    their final (stable sorted) order and are published as final
+//!    values; range-bucket slots carry a high-bit `PENDING` tag until
+//!    the shard phase republishes them sorted. The only auxiliary
+//!    table is the `B·P` destination-offset reduction
+//!    ([`ShardedSortJob::aux_bytes`]); no `n`-sized intermediate exists.
 //! 3. **Shard sort** — the buckets are cut into *work units* (equality
 //!    buckets are chunked to at most `(τ-1)·n/S` elements, `τ` being
 //!    [`ShardConfig::max_shard_imbalance`]; range buckets stay whole)
 //!    and assigned to the `S` shards greedily by measured size, largest
 //!    first — a pure function of the completed classification, so every
 //!    worker computes the same assignment. Workers claim whole shards
-//!    from a third WAT and publish each of the shard's units: equality
-//!    chunks and already-non-decreasing range buckets are trivial fills
-//!    (the bucket order *is* the stable sorted order), other range
-//!    buckets are sorted locally with the packed pivot tree in a
-//!    private recycled [`SortArena`] — or, when a range bucket exceeds
-//!    the chunk size and [`ShardConfig::max_levels`] allows, re-sharded
-//!    one level down. Each bucket owns a contiguous rank range, so
-//!    concatenation in key order is free.
+//!    from a third WAT and publish each of the shard's range units over
+//!    its own slots: already-non-decreasing units as they are (the
+//!    fill order *is* the stable sorted order), the rest sorted locally
+//!    with the packed pivot tree in a private recycled [`SortArena`] —
+//!    or, when a range bucket exceeds the chunk size and
+//!    [`ShardConfig::max_levels`] allows, re-sharded one level down.
+//!    Each bucket owns a contiguous rank range, so concatenation in key
+//!    order is free.
 //!
 //! **Fault story.** A worker that crashes mid-phase leaves its current
 //! WAT leaf unmarked and survivors redo the whole unit — an element
@@ -61,6 +66,16 @@
 //! through its `keep_going` before the leaf is published, so a
 //! half-sorted shard is never marked complete (both WAT flavors gate
 //! publication on a final consult).
+//!
+//! Because a range unit's slots are both its input and its output,
+//! redo safety comes from a monotone slot protocol rather than
+//! idempotent-by-value writes: slots move `empty → fill value → final
+//! value` only (fills are CAS-from-empty, so a preempted filler can
+//! never resurrect a stale value over a final one), a redone unit whose
+//! slots are all final is skipped, and a unit caught mid-publication
+//! (mixed tags — its claimant crashed or is racing) is rebuilt from the
+//! stable classification, never from the torn slots
+//! ([`ShardedSortJob::publish_unit`]).
 //!
 //! The splitter sample is taken at deterministic stride positions, so a
 //! job — and therefore every chaos replay over it — is a pure function
@@ -92,7 +107,7 @@ use crate::watchdog::{ProgressReport, SortPhase};
 /// that its hot path stays in cache instead of chasing pointers across
 /// a single tree of all `n` nodes; at least `workers` shards lets every
 /// thread hold a distinct shard in the final phase; the 256 cap bounds
-/// the splitter binary search and the per-worker `O(B·P)` fill
+/// the splitter ladder and the per-worker `O(B·P)` fill
 /// bookkeeping. Mirrors [`recommended_grain`], and like it the
 /// constants are exercised by the E26 sweep rather than trusted.
 pub fn recommended_shards(n: usize, workers: usize) -> usize {
@@ -107,109 +122,14 @@ fn partition_grain(n: usize, workers: usize) -> usize {
     (n / (workers.max(1) * 8)).clamp(64, 4096).min(n)
 }
 
-/// Which classification kernel the Partition phase runs — how an
-/// element's key is turned into its bucket (piece) id.
-///
-/// Both kernels compute byte-identical classifications (the
-/// differential suites and a seeded property loop pin `ladder ==
-/// binary search` for random splitter sets), so the choice affects throughput
-/// only, never the permutation. Selected via
-/// [`ShardConfig::classify_kernel`] /
-/// [`crate::SortOptions::classify_kernel`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ClassifyKernel {
-    /// Resolve by splitter count at construction: the branchless
-    /// [`ClassifyKernel::Ladder`] when the (deduplicated) splitter
-    /// count is between 1 and [`LADDER_AUTO_MAX_SPLITTERS`], the
-    /// [`ClassifyKernel::BinarySearch`] baseline otherwise. The
-    /// default.
-    #[default]
-    Auto,
-    /// One `partition_point` binary search plus an equality probe per
-    /// element ([`piece_by_search`]) — the PR-5 baseline. Every
-    /// comparison is a data-dependent branch, so uniform random keys
-    /// mispredict roughly half the probes.
-    BinarySearch,
-    /// The branchless [`SplitterLadder`]: a flat splitter array padded
-    /// to a power of two, walked with a fixed trip count and
-    /// cmov-style arithmetic (comparison results are consumed as
-    /// integers, never branched on), equality-bucket resolution folded
-    /// into the final rung. Classifies a whole partition block per
-    /// batch call, amortizing the splitter loads.
-    Ladder,
-}
-
-/// The splitter-count ceiling under which [`ClassifyKernel::Auto`]
-/// resolves to the ladder: `1024` splitters pad to a ≤ 2048-entry rung
-/// array — 16 KiB of `u64`s, comfortably L1-resident — while counts
-/// past it (factor-64 configs at high shard counts) fall back to the
-/// binary search, whose early exits win once the rung array spills out
-/// of cache. The E29 kernel A/B (the E26e section of
-/// `e26_sharded_bench`) covers the ladder side of the boundary; the cutoff is deliberately conservative.
-pub const LADDER_AUTO_MAX_SPLITTERS: usize = 1024;
-
-/// How the Fill phase stages the permutation — whether bucket contents
-/// are materialized into a separate N-sized intermediate array or
-/// exchanged (near-)in-place inside the output buffer itself.
-///
-/// Both strategies compute the identical stable permutation (the parity
-/// suite pins them bit-identical across shapes × kernels × chaos
-/// storms); the knob trades memory footprint and traffic against the
-/// simplicity of the materialized intermediate. Selected via
-/// [`ShardConfig::partition_strategy`] /
-/// [`crate::SortOptions::partition_strategy`] /
-/// [`crate::service::ServiceConfig::partition_strategy`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Resolve by input size at construction:
-    /// [`PartitionStrategy::InPlace`] at or past
-    /// [`IN_PLACE_AUTO_MIN`] keys (the regime where the extra N-word
-    /// intermediate is real memory), [`PartitionStrategy::Materialized`]
-    /// below it. The default; reads back resolved.
-    #[default]
-    Auto,
-    /// The PR-5 pipeline: Fill writes every element's index into a
-    /// separate N-sized `bucket` array, and the shard phase reads that
-    /// stable intermediate while publishing into the output
-    /// permutation. Auxiliary memory is `N·8 + B·P·8` bytes. Kept as
-    /// the differential oracle and for callers that want the simplest
-    /// redo story (every shared write is idempotent by value).
-    Materialized,
-    /// The (near-)in-place exchange: Fill publishes bucket contents
-    /// directly into the output permutation buffer — equality-bucket
-    /// slots as final values, range-bucket slots carrying a high-bit
-    /// `PENDING` tag — and the shard phase republishes each range unit
-    /// in sorted order over its own slots. The only auxiliary table is
-    /// the `B·P` destination-offset reduction (`aux_bytes ≤ B·P·8`,
-    /// pinned in-binary by E26f); the N-sized intermediate is never
-    /// allocated. Crash/redo safety comes from a monotone slot
-    /// protocol rather than idempotent-by-value writes: slots move
-    /// `empty → fill value → final value` only (fills are
-    /// CAS-from-empty so a preempted filler can never resurrect a
-    /// stale value over a final one), a redone unit whose snapshot is
-    /// all-final is skipped, and a unit caught mid-publication
-    /// (mixed tags — its claimant crashed or is racing) is rebuilt
-    /// from the stable classification, never from the torn slots.
-    InPlace,
-}
-
-/// The input size at or past which [`PartitionStrategy::Auto`] resolves
-/// to the in-place exchange: 65 536 keys. Below it the N-word
-/// intermediate is at most 512 KiB and the materialized path's plain
-/// stores beat the in-place fill's CAS protocol; past it the dropped
-/// N-word allocation and the skipped equality-unit republication win
-/// on footprint and traffic (the E26f ledger measures both sides).
-pub const IN_PLACE_AUTO_MIN: usize = 1 << 16;
-
-/// High bit of an output-permutation slot under
-/// [`PartitionStrategy::InPlace`]: set on values the fill phase stages
-/// for a *range* bucket (fill order, awaiting the shard phase's sorted
-/// republication), clear on final values. The monotone
+/// High bit of an output-permutation slot: set on values the fill
+/// phase stages for a *range* bucket (fill order, awaiting the shard
+/// phase's sorted republication), clear on final values. The monotone
 /// `empty → PENDING-tagged → final` slot lifecycle is what lets a
 /// redoing survivor classify a unit's state from one read sweep.
 const PENDING: usize = 1 << (usize::BITS - 1);
 
-/// How many slots an in-place publication loop writes between
+/// How many slots a unit's publication loop writes between
 /// `keep_going` consults — keeps the work between checkpoints bounded
 /// (the wait-free contract) and gives chaos scripts real windows to
 /// crash a worker *mid-unit*, which is exactly the torn state the
@@ -245,18 +165,6 @@ pub struct ShardConfig {
     /// its sub-buckets. `0` normalizes to 1; values above 4 clamp to 4
     /// (the paper-relevant regime is one extra level).
     pub max_levels: usize,
-    /// Which [`ClassifyKernel`] the Partition phase runs. Every value
-    /// is valid (the default `Auto` resolves by splitter count at
-    /// construction), so normalization passes it through. Recursive
-    /// re-shards inherit the knob and re-resolve `Auto` against their
-    /// own splitter counts.
-    pub classify_kernel: ClassifyKernel,
-    /// How the Fill phase stages the permutation (see
-    /// [`PartitionStrategy`]). Every value is valid (the default `Auto`
-    /// resolves by input size at construction), so normalization passes
-    /// it through. Recursive re-shards inherit the knob and re-resolve
-    /// `Auto` against their own input sizes.
-    pub partition_strategy: PartitionStrategy,
 }
 
 impl Default for ShardConfig {
@@ -265,8 +173,6 @@ impl Default for ShardConfig {
             overpartition_factor: 8,
             max_shard_imbalance: 2.0,
             max_levels: 1,
-            classify_kernel: ClassifyKernel::Auto,
-            partition_strategy: PartitionStrategy::Auto,
         }
     }
 }
@@ -288,8 +194,6 @@ impl ShardConfig {
                 2.0
             },
             max_levels: self.max_levels.clamp(1, 4),
-            classify_kernel: self.classify_kernel,
-            partition_strategy: self.partition_strategy,
         }
     }
 }
@@ -301,10 +205,11 @@ impl ShardConfig {
 /// are open-ended), `2i + 1` holds keys equal to splitter `i` — so
 /// equal keys always share a bucket and bucket order is key order.
 ///
-/// This is the [`ClassifyKernel::BinarySearch`] kernel and the oracle
-/// the [`SplitterLadder`] is differentially pinned against (unit edge
-/// cases plus a random-splitter property loop in
-/// `tests/proptest_sharded.rs`).
+/// This is the reference the [`SplitterLadder`] is differentially
+/// pinned against (unit edge cases, splitter counts across the padding
+/// boundaries, and a random-splitter property loop in
+/// `tests/proptest_sharded.rs`) and the baseline of the E26e classify
+/// timing.
 pub fn piece_by_search<K: Ord>(splitters: &[K], key: &K) -> usize {
     let i = splitters.partition_point(|s| s < key);
     if i < splitters.len() && splitters[i] == *key {
@@ -314,12 +219,14 @@ pub fn piece_by_search<K: Ord>(splitters: &[K], key: &K) -> usize {
     }
 }
 
-/// The branchless classification kernel behind
-/// [`ClassifyKernel::Ladder`]: the strictly increasing splitters,
-/// padded with copies of the last splitter up to a power of two, walked
-/// with a fixed trip count and cmov-style arithmetic. Exposed so the
-/// differential tests and the E26e kernel A/B in `e26_sharded_bench`
-/// can drive it directly against [`piece_by_search`].
+/// The Partition phase's classification kernel: the strictly
+/// increasing splitters, padded with copies of the last splitter up to
+/// a power of two, walked with a fixed trip count and cmov-style
+/// arithmetic (comparison results are consumed as integers, never
+/// branched on), the equality-bucket resolution folded into the final
+/// rung. Exposed so the differential tests and the E26e classify timing
+/// in `e26_sharded_bench` can drive it directly against
+/// [`piece_by_search`].
 #[derive(Clone, Debug)]
 pub struct SplitterLadder<K> {
     /// `splitters` followed by copies of its last element, total length
@@ -360,6 +267,12 @@ impl<K: Ord + Clone> SplitterLadder<K> {
 }
 
 impl<K: Ord> SplitterLadder<K> {
+    /// The strictly increasing splitters the ladder was built over,
+    /// without the padding.
+    pub(crate) fn splitters(&self) -> &[K] {
+        &self.rungs[..self.distinct]
+    }
+
     /// The bucket `key` belongs to — bit-identical to
     /// [`piece_by_search`] over the same splitters, with the
     /// equality-bucket resolution folded into the final rung: the walk
@@ -465,14 +378,14 @@ fn sample_splitters<K: Ord + Clone>(keys: &[K], shards: usize, factor: usize) ->
     splitters
 }
 
-/// One contiguous bucket-array span the shard phase publishes as a
-/// whole: an equality-bucket chunk or a range bucket. `lo..hi` are
-/// bucket-array slots, which equal the unit's output ranks.
+/// One contiguous output-permutation span the shard phase publishes as
+/// a whole: an equality-bucket chunk or a range bucket. `lo..hi` are
+/// the unit's output ranks.
 #[derive(Clone, Copy, Debug)]
 struct WorkUnit {
     lo: usize,
     hi: usize,
-    /// The bucket this unit is a span of. The in-place recovery path
+    /// The bucket this unit is a span of. The torn-unit recovery path
     /// uses it to rebuild the unit's element set from the stable
     /// classification when the slots themselves are torn.
     piece: usize,
@@ -547,17 +460,10 @@ impl<P: Participation> Participation for ForwardAbandon<'_, '_, P> {
 #[derive(Debug)]
 pub struct ShardedSortJob<K: Ord> {
     keys: Vec<K>,
-    /// Strictly increasing (deduplicated) splitters; element `i`
-    /// belongs to the bucket [`piece_by_search`] computes, so equal
-    /// keys always share a bucket.
-    splitters: Vec<K>,
-    /// The kernel the partition phase runs — [`ClassifyKernel::Auto`]
-    /// resolved against the splitter count at construction, so this is
-    /// never `Auto`.
-    kernel: ClassifyKernel,
-    /// The padded flat splitter array [`ClassifyKernel::Ladder`] walks;
-    /// built unconditionally (it is two cache lines of clones at common
-    /// splitter counts) so tests can pin both kernels on one job.
+    /// The strictly increasing (deduplicated) splitters as the padded
+    /// ladder the partition phase walks; element `i` belongs to the
+    /// bucket [`piece_by_search`] computes, so equal keys always share
+    /// a bucket.
     ladder: SplitterLadder<K>,
     shards: usize,
     /// Bucket count `P = 2·splitters.len() + 1`: buckets alternate
@@ -588,31 +494,20 @@ pub struct ShardedSortJob<K: Ord> {
     /// [`ShardedSortJob::column_offsets`] run in `O(B·P)` instead of
     /// rescanning all `n` classifications per participant.
     block_counts: Vec<AtomicU32>,
-    /// `bucket[d]` = 1-based element index occupying bucket slot `d`;
-    /// bucket `p` owns the contiguous slots `starts[p]..starts[p + 1]`,
-    /// filled in original-index order (benign race, like `piece_of`).
-    /// Only allocated under [`PartitionStrategy::Materialized`]; the
-    /// in-place strategy stages bucket contents directly in `out_perm`
-    /// behind the `PENDING` tag and leaves this empty — that dropped
-    /// N-word allocation is the strategy's whole point.
-    bucket: Vec<AtomicUsize>,
     /// `out_perm[r]` = 1-based element index with rank `r + 1` — the
-    /// same contract as [`crate::SortJob`]'s permutation. Under
-    /// [`PartitionStrategy::InPlace`] the slots double as the fill
-    /// staging area (monotone `empty → PENDING-tagged fill value →
-    /// final value` lifecycle); completion guarantees every tag is
-    /// gone.
+    /// same contract as [`crate::SortJob`]'s permutation. Bucket `p`
+    /// owns the contiguous slots `starts[p]..starts[p + 1]`, and the
+    /// slots double as the fill staging area (monotone `empty →
+    /// PENDING-tagged fill value → final value` lifecycle); completion
+    /// guarantees every tag is gone.
     out_perm: Vec<AtomicUsize>,
-    /// The resolved [`PartitionStrategy`] — never `Auto`.
-    strategy: PartitionStrategy,
     /// Telemetry: element moves actually performed — every store of an
-    /// element entry into the bucket intermediate or the output
-    /// permutation, redone work included. The materialized strategy
-    /// pays `2N` in a crash-free run (fill + republication); in-place
-    /// pays `N` plus only the *range*-unit republications (equality
-    /// units are final at fill time), which E26f measures side by side.
+    /// element entry into the output permutation, redone work
+    /// included. A crash-free run pays `N` for the fill plus one
+    /// republication per *range* slot (equality units are final at
+    /// fill time), the exact count E26f pins.
     moves: AtomicU64,
-    /// Telemetry: in-place units whose slots were caught mid-publication
+    /// Telemetry: range units whose slots were caught mid-publication
     /// (mixed fill/final tags after a claimant crashed or raced) and
     /// were rebuilt from the stable classification. Zero in any
     /// crash-free single-threaded run; the abandonment suite drives it
@@ -691,39 +586,12 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
         );
         let pgrain = partition_grain(n, workers);
         let blocks = n.div_ceil(pgrain);
-        let kernel = match config.classify_kernel {
-            ClassifyKernel::Auto => {
-                if (1..=LADDER_AUTO_MAX_SPLITTERS).contains(&splitters.len()) {
-                    ClassifyKernel::Ladder
-                } else {
-                    ClassifyKernel::BinarySearch
-                }
-            }
-            k => k,
-        };
-        let strategy = match config.partition_strategy {
-            PartitionStrategy::Auto => {
-                if n >= IN_PLACE_AUTO_MIN {
-                    PartitionStrategy::InPlace
-                } else {
-                    PartitionStrategy::Materialized
-                }
-            }
-            s => s,
-        };
-        // The in-place tag rides the slot word's high bit, so 1-based
+        // The fill tag rides the slot word's high bit, so 1-based
         // element indices must stay below it — true for any input that
         // fits in memory, asserted so the invariant is explicit.
         assert!(n < PENDING, "element indices must fit under the tag bit");
-        let bucket_len = match strategy {
-            PartitionStrategy::InPlace => 0,
-            _ => n,
-        };
         ShardedSortJob {
-            kernel,
-            strategy,
             ladder: SplitterLadder::new(&splitters),
-            splitters,
             shards,
             pieces,
             config,
@@ -735,7 +603,6 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             shard_wat: PhaseWat::new(allocation, shards, 1),
             piece_of: (0..n).map(|_| AtomicU32::new(0)).collect(),
             block_counts: (0..blocks * pieces).map(|_| AtomicU32::new(0)).collect(),
-            bucket: (0..bucket_len).map(|_| AtomicUsize::new(0)).collect(),
             out_perm: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             moves: AtomicU64::new(0),
             cycle_restarts: AtomicU64::new(0),
@@ -810,8 +677,8 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     ///
     /// The work is batched per leaf: both WAT flavors run a claimed
     /// leaf's items in order from its first element, so the first
-    /// item's callback classifies the *whole* block with the resolved
-    /// [`ClassifyKernel`] (amortizing the splitter loads) and publishes
+    /// item's callback classifies the *whole* block with the
+    /// [`SplitterLadder`] (amortizing the splitter loads) and publishes
     /// the block's piece histogram into `block_counts`; the block's
     /// remaining items are no-ops that keep the per-element claim
     /// accounting and `keep_going` cadence unchanged. A worker
@@ -856,24 +723,19 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     }
 
     /// Phase 2: write every element's index into its bucket's slot
-    /// range, one partition block per WAT job. Returns the bucket start
-    /// offsets (`pieces + 1` entries) for the shard phase — a pure
-    /// function of the completed classification, so every worker
-    /// computes the same values.
+    /// range of the output permutation, one partition block per WAT
+    /// job. Returns the bucket start offsets (`pieces + 1` entries) for
+    /// the shard phase — a pure function of the completed
+    /// classification, so every worker computes the same values.
     ///
-    /// Under [`PartitionStrategy::Materialized`] the destinations are
-    /// `bucket` slots and plain stores suffice (redone blocks rewrite
-    /// identical values). Under [`PartitionStrategy::InPlace`] the
-    /// destinations are the output-permutation slots themselves:
-    /// equality buckets are published as untagged *final* values
-    /// (their fill order is already the stable sorted order, so the
-    /// shard phase never touches them again), range buckets as
-    /// `PENDING`-tagged staging values. In-place fills CAS from the
-    /// empty sentinel instead of storing: a filler preempted before
-    /// its block was redone by survivors — and then finalized by the
-    /// shard phase — must not wake up and resurrect a stale fill value
-    /// over a final one. Every CAS failure is exactly such a benign
-    /// stale redo.
+    /// Equality buckets are published as untagged *final* values (their
+    /// fill order is already the stable sorted order, so the shard
+    /// phase never touches them again), range buckets as
+    /// `PENDING`-tagged staging values. Fills CAS from the empty
+    /// sentinel instead of storing: a filler preempted before its block
+    /// was redone by survivors — and then finalized by the shard phase
+    /// — must not wake up and resurrect a stale fill value over a final
+    /// one. Every CAS failure is exactly such a benign stale redo.
     fn fill_phase(
         &self,
         tid: usize,
@@ -883,36 +745,31 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     ) -> Vec<usize> {
         let (starts, offsets) = self.column_offsets(ins);
         let pieces = self.pieces;
-        let in_place = self.strategy == PartitionStrategy::InPlace;
         let fill_block = |blk: usize| {
             // A private cursor copy per invocation keeps redone blocks
             // idempotent: every rerun starts from the same offsets and
-            // rewrites the same destinations.
+            // targets the same destinations.
             let mut next = offsets[blk * pieces..(blk + 1) * pieces].to_vec();
             let span = self.block_span(blk);
             let span_len = span.len() as u64;
             for i in span {
                 let piece = self.piece_of[i].load(Ordering::Relaxed) as usize;
-                if in_place {
-                    let value = if piece % 2 == 1 {
-                        i + 1
-                    } else {
-                        (i + 1) | PENDING
-                    };
-                    let _ = self.out_perm[next[piece]].compare_exchange(
-                        0,
-                        value,
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                    );
+                let value = if piece % 2 == 1 {
+                    i + 1
                 } else {
-                    self.bucket[next[piece]].store(i + 1, Ordering::Relaxed);
-                }
+                    (i + 1) | PENDING
+                };
+                let _ = self.out_perm[next[piece]].compare_exchange(
+                    0,
+                    value,
+                    Ordering::Release,
+                    Ordering::Relaxed,
+                );
                 next[piece] += 1;
             }
             self.moves.fetch_add(span_len, Ordering::Relaxed);
             // Ledger: one `piece_of` read (4 B) and one slot write (8 B)
-            // per element, whichever array the slot lives in.
+            // per element.
             ins.bytes(span_len * (4 + 8));
         };
         let keep_going = || {
@@ -925,15 +782,8 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     }
 
     /// Phase 3: claim whole shards and publish each of the shard's work
-    /// units — trivial fills for equality chunks and non-decreasing
-    /// range buckets, a packed pivot-tree sort (one private recycled
-    /// arena per worker) or a one-level re-shard for the rest.
-    ///
-    /// Under [`PartitionStrategy::InPlace`] each unit instead runs
-    /// [`ShardedSortJob::publish_unit_in_place`]: the unit's slots are
-    /// both its input and its output, so the per-unit snapshot protocol
-    /// there replaces the stable `bucket` reads of the materialized
-    /// body below.
+    /// units through [`ShardedSortJob::publish_unit`], with one private
+    /// recycled arena and unit buffers per worker.
     fn shard_phase(
         &self,
         tid: usize,
@@ -947,122 +797,26 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
         let outer = RefCell::new(p);
         let mut arena: SortArena<K> = SortArena::new();
         let mut unit_keys: Vec<K> = Vec::new();
-        let mut scratch: Vec<usize> = Vec::new();
-        let in_place = self.strategy == PartitionStrategy::InPlace;
-        let ksz = std::mem::size_of::<K>() as u64;
+        let mut fill_order: Vec<usize> = Vec::new();
         let sort_shard = |shard: usize| {
             self.shard_claims[shard].fetch_add(1, Ordering::Relaxed);
+            let mut fwd = ForwardAbandon {
+                outer: &outer,
+                abandoned: &abandoned,
+            };
             for unit in &assignment[shard] {
-                if abandoned.get() {
-                    return;
-                }
-                if in_place {
-                    if !self.publish_unit_in_place(
+                if abandoned.get()
+                    || !self.publish_unit(
                         unit,
-                        &outer,
-                        &abandoned,
+                        &mut fwd,
                         &mut arena,
-                        &mut scratch,
+                        &mut fill_order,
                         &mut unit_keys,
                         ins,
-                    ) {
-                        return;
-                    }
-                    continue;
-                }
-                let (lo, hi) = (unit.lo, unit.hi);
-                // Equality units hold one value, and a range bucket
-                // whose keys are already non-decreasing in bucket
-                // (original index) order — pre-sorted inputs produce
-                // these — is in stable sorted order too: publishing
-                // either is a straight copy, never a pivot tree. This
-                // is also what keeps all-equal and pre-sorted inputs
-                // out of the pivot tree's quadratic monotone-insert
-                // regime.
-                if unit.equality || hi - lo == 1 || self.is_sorted_run(lo, hi, ksz, ins) {
-                    for slot in lo..hi {
-                        let element = self.bucket[slot].load(Ordering::Relaxed);
-                        self.out_perm[slot].store(element, Ordering::Release);
-                    }
-                    self.moves.fetch_add((hi - lo) as u64, Ordering::Relaxed);
-                    ins.bytes((hi - lo) as u64 * 16);
-                    continue;
-                }
-                let len = hi - lo;
-                if self.config.max_levels > 1 && len > self.chunk_cap() {
-                    // An oversized range bucket: the sampler missed its
-                    // span, so re-shard it one level down instead of
-                    // feeding one giant pivot tree.
-                    let piece_keys: Vec<K> = (lo..hi)
-                        .map(|slot| {
-                            self.keys[self.bucket[slot].load(Ordering::Relaxed) - 1].clone()
-                        })
-                        .collect();
-                    ins.bytes(len as u64 * (8 + ksz));
-                    let inner_config = ShardConfig {
-                        max_levels: self.config.max_levels - 1,
-                        ..self.config
-                    };
-                    let inner = ShardedSortJob::with_config(
-                        piece_keys,
-                        self.allocation,
-                        1,
-                        recommended_shards(len, 1).max(2),
-                        inner_config,
-                    );
-                    let mut fwd = ForwardAbandon {
-                        outer: &outer,
-                        abandoned: &abandoned,
-                    };
-                    // Erase the participation type at the recursion
-                    // boundary: without this, each level would nest
-                    // another ForwardAbandon<…> and monomorphization
-                    // would never terminate.
-                    let mut erased: &mut dyn Participation = &mut fwd;
-                    inner.participate_inner(&mut erased, ins);
-                    ins.enter_phase(SortPhase::ShardSort);
-                    if abandoned.get() {
-                        return;
-                    }
-                    debug_assert!(inner.is_complete());
-                    for (rank, local) in inner.permutation().into_iter().enumerate() {
-                        let element = self.bucket[lo + local - 1].load(Ordering::Relaxed);
-                        self.out_perm[lo + rank].store(element, Ordering::Release);
-                    }
-                    self.moves.fetch_add(len as u64, Ordering::Relaxed);
-                    ins.bytes(len as u64 * 16);
-                    continue;
-                }
-                unit_keys.clear();
-                unit_keys.extend(
-                    (lo..hi).map(|slot| {
-                        self.keys[self.bucket[slot].load(Ordering::Relaxed) - 1].clone()
-                    }),
-                );
-                ins.bytes(len as u64 * (8 + ksz));
-                let job = arena.prepare(&unit_keys, self.allocation, 1, recommended_grain(len, 1));
-                let mut inner = ForwardAbandon {
-                    outer: &outer,
-                    abandoned: &abandoned,
-                };
-                job.participate_inner(&mut inner, ins);
-                ins.enter_phase(SortPhase::ShardSort);
-                if abandoned.get() {
-                    // Half-sorted: the publish gate below sees the
-                    // same signal and leaves this shard's leaf
-                    // unmarked for survivors.
+                    )
+                {
                     return;
                 }
-                debug_assert!(job.is_complete());
-                // Within a bucket the fill preserves original index
-                // order, so the inner job's (key, local index) ties
-                // break exactly like the global (key, index) ties.
-                for (rank, local) in job.permutation().into_iter().enumerate() {
-                    let element = self.bucket[lo + local - 1].load(Ordering::Relaxed);
-                    self.out_perm[lo + rank].store(element, Ordering::Release);
-                }
-                self.moves.fetch_add(len as u64, Ordering::Relaxed);
-                ins.bytes(len as u64 * 16);
             }
         };
         let keep_going = || {
@@ -1073,37 +827,11 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             .participate_with(tid, nthreads, sort_shard, keep_going, ins);
     }
 
-    /// Whether the keys in bucket slots `lo..hi` are already
-    /// non-decreasing in bucket (original index) order. Carries the
-    /// previous element index across iterations, so each bucket slot is
-    /// loaded exactly once (the naive pairwise scan loaded every
-    /// interior slot twice). Ledger: counts the slots and keys actually
-    /// loaded — an early exit on unsorted data charges only the prefix
-    /// it read.
-    fn is_sorted_run(&self, lo: usize, hi: usize, ksz: u64, ins: &impl Instrument) -> bool {
-        let mut prev = self.bucket[lo].load(Ordering::Relaxed) - 1;
-        let mut loads = 1u64;
-        let mut sorted = true;
-        for slot in lo + 1..hi {
-            let next = self.bucket[slot].load(Ordering::Relaxed) - 1;
-            loads += 1;
-            if self.keys[prev] > self.keys[next] {
-                sorted = false;
-                break;
-            }
-            prev = next;
-        }
-        ins.bytes(loads * (8 + ksz));
-        sorted
-    }
-
-    /// One work unit under [`PartitionStrategy::InPlace`]. The unit's
-    /// output-permutation slots are both its input and its output, so
-    /// instead of the materialized body's reads from a stable `bucket`
-    /// intermediate, the unit runs a snapshot-classify-republish
-    /// protocol built on the monotone slot lifecycle (`empty →
-    /// PENDING-tagged fill value → final value`, finals deterministic
-    /// and identical across every publisher):
+    /// One work unit of the shard phase. The unit's output-permutation
+    /// slots are both its input and its output, so the unit runs a
+    /// snapshot-classify-republish protocol built on the monotone slot
+    /// lifecycle (`empty → PENDING-tagged fill value → final value`,
+    /// finals deterministic and identical across every publisher):
     ///
     /// 1. **Snapshot.** One read sweep over the slots. *All tagged* ⇒
     ///    the snapshot is exactly the pristine fill order (no final
@@ -1117,10 +845,14 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     ///    ([`ShardedSortJob::rebuild_fill_order`], counted in
     ///    `cycle_restarts`).
     /// 2. **Sort.** Singletons and already-non-decreasing runs are
-    ///    final as-is; otherwise the snapshot's keys run through the
-    ///    same pivot-tree arena sort (or one-level re-shard) as the
-    ///    materialized path — the snapshot preserves original-index
-    ///    order within the bucket, so ties break identically.
+    ///    final as-is — this is also what keeps pre-sorted inputs out of
+    ///    the pivot tree's quadratic monotone-insert regime; otherwise
+    ///    the fill order's keys run through the packed pivot-tree arena
+    ///    sort (or, for an oversized range bucket under
+    ///    [`ShardConfig::max_levels`] > 1, a one-level re-shard). The
+    ///    fill order preserves original-index order within the bucket,
+    ///    so the inner sort's `(key, local index)` ties break exactly
+    ///    like the global `(key, index)` ties.
     /// 3. **Republish.** Final values are stored untagged, with a
     ///    `keep_going` consult every [`PUBLISH_CONSULT_EVERY`] slots —
     ///    a worker crashed inside the loop leaves exactly the mixed
@@ -1128,19 +860,15 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     ///
     /// Because every final value is a pure function of `(keys,
     /// classification, unit)`, racing claimants — snapshot-based or
-    /// rebuild-based — write byte-identical finals: the only races
-    /// left are benign again, just at final-value granularity instead
-    /// of fill-value granularity. Returns `false` if the participant
-    /// abandoned mid-unit (callers stop, the shard's leaf stays
-    /// unmarked for survivors).
-    #[allow(clippy::too_many_arguments)]
-    fn publish_unit_in_place<P: Participation>(
+    /// rebuild-based — write byte-identical finals. Returns `false` if
+    /// the participant abandoned mid-unit (callers stop, the shard's
+    /// leaf stays unmarked for survivors).
+    fn publish_unit<P: Participation>(
         &self,
         unit: &WorkUnit,
-        outer: &RefCell<&mut P>,
-        abandoned: &Cell<bool>,
+        fwd: &mut ForwardAbandon<'_, '_, P>,
         arena: &mut SortArena<K>,
-        scratch: &mut Vec<usize>,
+        fill_order: &mut Vec<usize>,
         unit_keys: &mut Vec<K>,
         ins: &impl Instrument,
     ) -> bool {
@@ -1152,13 +880,13 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
         let (lo, hi) = (unit.lo, unit.hi);
         let len = hi - lo;
         let ksz = std::mem::size_of::<K>() as u64;
-        scratch.clear();
+        fill_order.clear();
         let mut tagged = 0usize;
         for slot in lo..hi {
             let raw = self.out_perm[slot].load(Ordering::Acquire);
             debug_assert_ne!(raw, 0, "the fill gate orders every slot write first");
             tagged += usize::from(raw & PENDING != 0);
-            scratch.push(raw & !PENDING);
+            fill_order.push(raw & !PENDING);
         }
         ins.bytes(len as u64 * 8);
         if tagged == 0 {
@@ -1166,84 +894,64 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
         }
         if tagged != len {
             self.cycle_restarts.fetch_add(1, Ordering::Relaxed);
-            self.rebuild_fill_order(unit.piece, scratch, ins);
-            debug_assert_eq!(scratch.len(), len, "stable rebuild spans the unit");
+            self.rebuild_fill_order(unit.piece, fill_order, ins);
+            debug_assert_eq!(fill_order.len(), len, "stable rebuild spans the unit");
         }
-        // `scratch` now holds the unit's fill order — 1-based element
-        // indices, ascending by original index — whichever way it was
-        // obtained. The same trivial-unit test as the materialized
-        // body: singletons and non-decreasing runs are already final.
+        // `fill_order` now holds the unit's 1-based element indices,
+        // ascending by original index, whichever way it was obtained.
         let sorted_already = len == 1 || {
+            // Ledger: the keys the run check actually loads — an early
+            // exit on unsorted data charges only the prefix it read.
             let mut loads = 1u64;
-            let mut prev = scratch[0] - 1;
-            let mut sorted = true;
-            for &raw in &scratch[1..] {
-                let next = raw - 1;
+            let sorted = fill_order.windows(2).all(|w| {
                 loads += 1;
-                if self.keys[prev] > self.keys[next] {
-                    sorted = false;
-                    break;
-                }
-                prev = next;
-            }
+                self.keys[w[0] - 1] <= self.keys[w[1] - 1]
+            });
             ins.bytes(loads * ksz);
             sorted
         };
         if sorted_already {
-            return self.publish_final(lo, scratch, outer, abandoned, ins);
+            return self.publish_final(lo, fill_order, fwd, ins);
         }
-        if self.config.max_levels > 1 && len > self.chunk_cap() {
-            // An oversized range bucket: re-shard it one level down,
-            // exactly like the materialized body, but cloning from the
-            // snapshot instead of the bucket intermediate.
-            let piece_keys: Vec<K> = scratch.iter().map(|&v| self.keys[v - 1].clone()).collect();
-            ins.bytes(len as u64 * ksz);
-            let inner_config = ShardConfig {
-                max_levels: self.config.max_levels - 1,
-                ..self.config
-            };
+        unit_keys.clear();
+        unit_keys.extend(fill_order.iter().map(|&v| self.keys[v - 1].clone()));
+        ins.bytes(len as u64 * ksz);
+        let sorted = if self.config.max_levels > 1 && len > self.chunk_cap() {
+            // An oversized range bucket: the sampler missed its span,
+            // so re-shard it one level down instead of feeding one
+            // giant pivot tree.
             let inner = ShardedSortJob::with_config(
-                piece_keys,
+                std::mem::take(unit_keys),
                 self.allocation,
                 1,
                 recommended_shards(len, 1).max(2),
-                inner_config,
+                ShardConfig {
+                    max_levels: self.config.max_levels - 1,
+                    ..self.config
+                },
             );
-            let mut fwd = ForwardAbandon { outer, abandoned };
-            let mut erased: &mut dyn Participation = &mut fwd;
+            // Erase the participation type at the recursion boundary:
+            // without this, each level would nest another
+            // ForwardAbandon<…> and monomorphization would never
+            // terminate.
+            let mut erased: &mut dyn Participation = &mut *fwd;
             inner.participate_inner(&mut erased, ins);
-            ins.enter_phase(SortPhase::ShardSort);
-            if abandoned.get() {
-                return false;
-            }
-            debug_assert!(inner.is_complete());
-            let finals: Vec<usize> = inner
-                .permutation()
-                .into_iter()
-                .map(|local| scratch[local - 1])
-                .collect();
-            return self.publish_final(lo, &finals, outer, abandoned, ins);
-        }
-        unit_keys.clear();
-        unit_keys.extend(scratch.iter().map(|&v| self.keys[v - 1].clone()));
-        ins.bytes(len as u64 * ksz);
-        let job = arena.prepare(unit_keys, self.allocation, 1, recommended_grain(len, 1));
-        let mut inner = ForwardAbandon { outer, abandoned };
-        job.participate_inner(&mut inner, ins);
+            (!fwd.abandoned.get()).then(|| inner.permutation())
+        } else {
+            let job = arena.prepare(unit_keys, self.allocation, 1, recommended_grain(len, 1));
+            job.participate_inner(&mut *fwd, ins);
+            (!fwd.abandoned.get()).then(|| job.permutation())
+        };
         ins.enter_phase(SortPhase::ShardSort);
-        if abandoned.get() {
+        // Abandoned mid-sort: the unit is untouched (still all tagged)
+        // and the shard WAT's publish gate sees the same signal.
+        let Some(mut finals) = sorted else {
             return false;
+        };
+        for local in &mut finals {
+            *local = fill_order[*local - 1];
         }
-        debug_assert!(job.is_complete());
-        // Within a bucket the snapshot preserves original index order,
-        // so the inner job's (key, local index) ties break exactly
-        // like the global (key, index) ties.
-        let finals: Vec<usize> = job
-            .permutation()
-            .into_iter()
-            .map(|local| scratch[local - 1])
-            .collect();
-        self.publish_final(lo, &finals, outer, abandoned, ins)
+        self.publish_final(lo, &finals, fwd, ins)
     }
 
     /// Rebuilds a range bucket's fill order — 1-based element indices,
@@ -1279,17 +987,15 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     /// values, consulting `keep_going` every [`PUBLISH_CONSULT_EVERY`]
     /// slots so chaos scripts can crash a worker mid-unit. Returns
     /// `false` on abandonment — the unit is then torn (mixed tags),
-    /// which is exactly the state
-    /// [`ShardedSortJob::publish_unit_in_place`] recovers from on redo.
+    /// which is exactly the state [`ShardedSortJob::publish_unit`]
+    /// recovers from on redo.
     fn publish_final<P: Participation>(
         &self,
         lo: usize,
         values: &[usize],
-        outer: &RefCell<&mut P>,
-        abandoned: &Cell<bool>,
+        fwd: &mut ForwardAbandon<'_, '_, P>,
         ins: &impl Instrument,
     ) -> bool {
-        let mut fwd = ForwardAbandon { outer, abandoned };
         for (r, &v) in values.iter().enumerate() {
             debug_assert_eq!(v & PENDING, 0, "finals are untagged");
             self.out_perm[lo + r].store(v, Ordering::Release);
@@ -1306,8 +1012,8 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     }
 
     /// Classifies every element of partition block `blk` with the
-    /// resolved [`ClassifyKernel`], storing `piece_of` and accumulating
-    /// the block's per-piece histogram into `counts` (length `pieces`,
+    /// [`SplitterLadder`], storing `piece_of` and accumulating the
+    /// block's per-piece histogram into `counts` (length `pieces`,
     /// zeroed by the caller). Returns the splitter comparisons
     /// performed, for the `classify_steps` telemetry. Deterministic in
     /// `(keys, blk)`, so concurrent or redone invocations write
@@ -1320,52 +1026,25 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             counts[0] = span.len() as u32;
             return 0;
         }
-        let mut steps = 0u64;
-        match self.kernel {
-            ClassifyKernel::Ladder => {
-                // Interleave LANES keys per walk: the lanes descend the
-                // ladder in lockstep, so the latency-bound rung-load
-                // chains overlap instead of serializing (see
-                // `SplitterLadder::piece_for_lanes`). The remainder
-                // tail falls back to the per-key walk.
-                const LANES: usize = 8;
-                steps = self.ladder.steps_per_key() * span.len() as u64;
-                let mut at = span.start;
-                while at + LANES <= span.end {
-                    let lanes: [&K; LANES] = core::array::from_fn(|j| &self.keys[at + j]);
-                    for (j, piece) in self.ladder.piece_for_lanes(lanes).into_iter().enumerate() {
-                        self.piece_of[at + j].store(piece as u32, Ordering::Relaxed);
-                        counts[piece] += 1;
-                    }
-                    at += LANES;
-                }
-                for i in at..span.end {
-                    let piece = self.ladder.piece_for(&self.keys[i]);
-                    self.piece_of[i].store(piece as u32, Ordering::Relaxed);
-                    counts[piece] += 1;
-                }
+        // Interleave LANES keys per walk: the lanes descend the ladder
+        // in lockstep, so the latency-bound rung-load chains overlap
+        // instead of serializing (see `SplitterLadder::piece_for_lanes`).
+        // The remainder tail falls back to the per-key walk.
+        const LANES: usize = 8;
+        let steps = self.ladder.steps_per_key() * span.len() as u64;
+        let mut at = span.start;
+        while at + LANES <= span.end {
+            let lanes: [&K; LANES] = core::array::from_fn(|j| &self.keys[at + j]);
+            for (j, piece) in self.ladder.piece_for_lanes(lanes).into_iter().enumerate() {
+                self.piece_of[at + j].store(piece as u32, Ordering::Relaxed);
+                counts[piece] += 1;
             }
-            _ => {
-                for i in span {
-                    let key = &self.keys[i];
-                    let at = self.splitters.partition_point(|s| {
-                        steps += 1;
-                        s < key
-                    });
-                    let piece = if at < self.splitters.len() {
-                        steps += 1;
-                        if self.splitters[at] == *key {
-                            2 * at + 1
-                        } else {
-                            2 * at
-                        }
-                    } else {
-                        2 * at
-                    };
-                    self.piece_of[i].store(piece as u32, Ordering::Relaxed);
-                    counts[piece] += 1;
-                }
-            }
+            at += LANES;
+        }
+        for i in at..span.end {
+            let piece = self.ladder.piece_for(&self.keys[i]);
+            self.piece_of[i].store(piece as u32, Ordering::Relaxed);
+            counts[piece] += 1;
         }
         steps
     }
@@ -1497,13 +1176,6 @@ impl<K: Ord> ShardedSortJob<K> {
         self.config
     }
 
-    /// The [`ClassifyKernel`] the partition phase actually runs:
-    /// [`ClassifyKernel::Auto`] requests read back as the kernel they
-    /// resolved to at construction, never `Auto` itself.
-    pub fn classify_kernel(&self) -> ClassifyKernel {
-        self.kernel
-    }
-
     /// Bucket count `P = 2d + 1` for `d` distinct splitters — range and
     /// equality buckets interleaved in key order.
     pub fn buckets(&self) -> usize {
@@ -1511,30 +1183,19 @@ impl<K: Ord> ShardedSortJob<K> {
     }
 
     /// The strictly increasing splitters the deduplicating sampler
-    /// chose at construction — what both classify kernels walk. Exposed
-    /// so the E26e/E29 kernel A/B can time [`piece_by_search`] and the
+    /// chose at construction — what the classify kernel walks. Exposed
+    /// so the E26e classify timing can run [`piece_by_search`] and the
     /// [`SplitterLadder`] over the exact splitter set a real job uses.
     pub fn splitters(&self) -> &[K] {
-        &self.splitters
-    }
-
-    /// The [`PartitionStrategy`] the Fill/shard pipeline actually runs:
-    /// [`PartitionStrategy::Auto`] requests read back as the strategy
-    /// they resolved to at construction
-    /// ([`PartitionStrategy::InPlace`] from [`IN_PLACE_AUTO_MIN`]
-    /// elements up), never `Auto` itself.
-    pub fn partition_strategy(&self) -> PartitionStrategy {
-        self.strategy
+        self.ladder.splitters()
     }
 
     /// Auxiliary bytes the Fill/shard pipeline allocates beyond the
     /// output permutation: the `B·P·8` destination-offset table every
-    /// fill participant reduces privately, plus the `n·8` bucket
-    /// intermediate under [`PartitionStrategy::Materialized`] (zero
-    /// in-place — that is the E26f `aux_bytes ≤ B·P·8` pin).
+    /// fill participant reduces privately (the E26f `aux_bytes ≤ B·P·8`
+    /// pin).
     pub fn aux_bytes(&self) -> u64 {
-        let table = (self.blocks * self.pieces) as u64 * 8;
-        table + self.bucket.len() as u64 * 8
+        (self.blocks * self.pieces) as u64 * 8
     }
 
     /// Elements per partition block.
@@ -1708,7 +1369,6 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             buckets,
             equality_buckets,
             requested_imbalance: self.config.max_shard_imbalance,
-            strategy: self.strategy,
             aux_bytes: self.aux_bytes(),
             moves: self.moves.load(Ordering::Relaxed),
             cycle_restarts: self.cycle_restarts.load(Ordering::Relaxed),
@@ -1870,7 +1530,7 @@ mod tests {
         // are distinct values.
         let keys: Vec<u64> = (0..1000).map(|i| i % 10).collect();
         let job = ShardedSortJob::new(keys, 32);
-        assert!(job.splitters.windows(2).all(|w| w[0] < w[1]));
+        assert!(job.splitters().windows(2).all(|w| w[0] < w[1]));
         job.run();
         let report = job.shard_report();
         assert_eq!(report.equality_buckets, 10, "one per distinct value");
@@ -1909,7 +1569,6 @@ mod tests {
                 overpartition_factor: 1,
                 max_shard_imbalance: 1.2,
                 max_levels,
-                ..ShardConfig::default()
             };
             let job = ShardedSortJob::with_config(
                 keys.clone(),
@@ -1934,7 +1593,6 @@ mod tests {
             overpartition_factor: 0,
             max_shard_imbalance: f64::NAN,
             max_levels: 0,
-            ..ShardConfig::default()
         }
         .normalized();
         assert_eq!(wild, ShardConfig::default().normalized());
@@ -1942,7 +1600,6 @@ mod tests {
             overpartition_factor: 1_000_000,
             max_shard_imbalance: 0.5,
             max_levels: 99,
-            ..ShardConfig::default()
         }
         .normalized();
         assert_eq!(low.overpartition_factor, 64);
@@ -1961,7 +1618,6 @@ mod tests {
                 overpartition_factor: 0,
                 max_shard_imbalance: -3.0,
                 max_levels: 0,
-                ..ShardConfig::default()
             },
         );
         job.run();
@@ -2081,79 +1737,47 @@ mod tests {
     }
 
     #[test]
-    fn auto_kernel_resolves_and_explicit_kernels_stick() {
-        let keys = mixed_keys(4000);
-        let auto = ShardedSortJob::new(keys.clone(), 8);
-        assert_ne!(
-            auto.classify_kernel(),
-            ClassifyKernel::Auto,
-            "Auto must resolve at construction"
-        );
-        auto.run();
-        for kernel in [ClassifyKernel::BinarySearch, ClassifyKernel::Ladder] {
-            let job = ShardedSortJob::with_config(
-                keys.clone(),
-                NativeAllocation::Deterministic,
-                2,
-                8,
-                ShardConfig {
-                    classify_kernel: kernel,
-                    ..ShardConfig::default()
-                },
-            );
-            assert_eq!(job.classify_kernel(), kernel);
-            job.run();
-            assert_eq!(job.permutation(), auto.permutation(), "{kernel:?}");
-        }
-        // One shard means no splitters: Auto falls back to the binary
-        // search (which degenerates to "everything is bucket 0").
-        let one = ShardedSortJob::new(mixed_keys(100), 1);
-        assert_eq!(one.classify_kernel(), ClassifyKernel::BinarySearch);
-    }
-
-    #[test]
-    fn both_kernels_sort_all_equal_input() {
-        // All-equal keys dedup to one splitter — the ladder's smallest
-        // real shape — and everything lands in its equality bucket.
-        for kernel in [ClassifyKernel::BinarySearch, ClassifyKernel::Ladder] {
-            let keys = vec![5u64; 300];
-            let job = ShardedSortJob::with_config(
-                keys.clone(),
-                NativeAllocation::Deterministic,
-                2,
-                8,
-                ShardConfig {
-                    classify_kernel: kernel,
-                    ..ShardConfig::default()
-                },
-            );
-            job.run();
-            let report = job.shard_report();
-            assert_eq!(report.equality_buckets, 1, "{kernel:?}");
-            assert_eq!(job.into_sorted(), keys, "{kernel:?}");
+    fn ladder_matches_search_across_large_padding_boundaries() {
+        // The splitter counts a factor-64 config reaches at high shard
+        // counts, straddling the power-of-two paddings (1023 pads to
+        // 1024 rungs, 1024 to 2048, ...). Every key on, between, and
+        // outside the splitters, through both the per-key and the
+        // interleaved walk.
+        for d in [1023usize, 1024, 1025, 2047, 2048, 4096] {
+            let splitters: Vec<u64> = (0..d as u64).map(|i| i * 3 + 1).collect();
+            let ladder = SplitterLadder::new(&splitters);
+            assert_eq!(ladder.rungs.len(), (d + 1).next_power_of_two(), "d {d}");
+            assert_eq!(ladder.splitters(), &splitters[..]);
+            let keys: Vec<u64> = (0..=(3 * d as u64 + 8)).collect();
+            for chunk in keys.chunks(8) {
+                let expect: Vec<usize> = chunk
+                    .iter()
+                    .map(|k| piece_by_search(&splitters, k))
+                    .collect();
+                let walked: Vec<usize> = chunk.iter().map(|k| ladder.piece_for(k)).collect();
+                assert_eq!(walked, expect, "d {d} keys {chunk:?}");
+                if let Ok(lanes) = <[&u64; 8]>::try_from(chunk.iter().collect::<Vec<_>>()) {
+                    assert_eq!(ladder.piece_for_lanes(lanes).to_vec(), expect, "d {d}");
+                }
+            }
         }
     }
 
-    fn with_strategy(keys: Vec<u64>, strategy: PartitionStrategy) -> ShardedSortJob<u64> {
-        ShardedSortJob::with_config(
-            keys,
-            NativeAllocation::Deterministic,
-            2,
-            8,
-            ShardConfig {
-                partition_strategy: strategy,
-                ..ShardConfig::default()
-            },
-        )
+    fn stable_permutation(keys: &[u64]) -> Vec<usize> {
+        let mut perm: Vec<usize> = (1..=keys.len()).collect();
+        perm.sort_by_key(|&i| (keys[i - 1], i));
+        perm
+    }
+
+    fn two_worker_job(keys: Vec<u64>) -> ShardedSortJob<u64> {
+        ShardedSortJob::with_workers(keys, NativeAllocation::Deterministic, 2, 8)
     }
 
     #[test]
-    fn in_place_permutation_matches_materialized_across_shapes() {
-        // The differential oracle at unit scale: both strategies must
-        // compute the identical (key, index)-stable permutation on
-        // every shape class the in-place protocol special-cases —
-        // range-heavy, duplicate-heavy (equality units final at fill),
-        // pre-sorted (sorted-run strip publish), and all-equal.
+    fn permutation_matches_stable_oracle_across_shapes() {
+        // Every shape class the slot protocol special-cases — range
+        // heavy, duplicate heavy (equality units final at fill),
+        // pre-sorted (run units published as they are), and all-equal.
         let shapes: Vec<(&str, Vec<u64>)> = vec![
             ("mixed", mixed_keys(700)),
             ("dupes", (0..700).map(|i| (i * 7) % 13).collect()),
@@ -2162,14 +1786,12 @@ mod tests {
             ("all_equal", vec![9u64; 700]),
         ];
         for (name, keys) in shapes {
-            let mat = with_strategy(keys.clone(), PartitionStrategy::Materialized);
-            mat.run();
-            let inp = with_strategy(keys, PartitionStrategy::InPlace);
-            inp.run();
-            assert_eq!(inp.partition_strategy(), PartitionStrategy::InPlace);
-            assert_eq!(inp.permutation(), mat.permutation(), "{name}");
+            let expect = stable_permutation(&keys);
+            let job = two_worker_job(keys);
+            job.run();
+            assert_eq!(job.permutation(), expect, "{name}");
             assert_eq!(
-                inp.shard_report().cycle_restarts,
+                job.shard_report().cycle_restarts,
                 0,
                 "{name}: a crash-free single-threaded run never tears a unit"
             );
@@ -2178,30 +1800,18 @@ mod tests {
 
     #[test]
     fn in_place_survives_abandonment_at_every_budget() {
-        // The QuitAfter sweep from the materialized suite, on the
-        // in-place path: whatever torn state the quitter leaves — a
-        // half-filled block, a half-published unit — the late joiner
-        // must recover to the exact materialized permutation with no
-        // element duplicated or dropped.
+        // Whatever torn state the quitter leaves — a half-filled block,
+        // a half-published unit — the late joiner must recover to the
+        // exact stable permutation with no element duplicated or
+        // dropped.
         let keys = mixed_keys(300);
-        let oracle = with_strategy(keys.clone(), PartitionStrategy::Materialized);
-        oracle.run();
-        let expect = oracle.permutation();
+        let expect = stable_permutation(&keys);
         for allocation in [
             NativeAllocation::Deterministic,
             NativeAllocation::Randomized,
         ] {
             for budget in (1..200).step_by(13) {
-                let job = ShardedSortJob::with_config(
-                    keys.clone(),
-                    allocation,
-                    2,
-                    8,
-                    ShardConfig {
-                        partition_strategy: PartitionStrategy::InPlace,
-                        ..ShardConfig::default()
-                    },
-                );
+                let job = ShardedSortJob::with_workers(keys.clone(), allocation, 2, 8);
                 job.participate(&mut QuitAfter(budget));
                 job.run();
                 assert!(job.is_complete());
@@ -2217,11 +1827,10 @@ mod tests {
         // (untagged), the rest still pending — and pin that the next
         // claimant refuses the torn snapshot, rebuilds the unit's fill
         // order from the stable classification, counts the restart,
-        // and still lands on the materialized oracle's permutation.
+        // and still lands on the stable permutation.
         let keys: Vec<u64> = (0..600).rev().collect();
-        let oracle = with_strategy(keys.clone(), PartitionStrategy::Materialized);
-        oracle.run();
-        let job = with_strategy(keys, PartitionStrategy::InPlace);
+        let expect = stable_permutation(&keys);
+        let job = two_worker_job(keys);
         let ins = crate::metrics::NoInstrument;
         let mut p = RunToCompletion;
         job.partition_phase(0, 2, &mut p, &ins);
@@ -2245,44 +1854,27 @@ mod tests {
             report.cycle_restarts >= 1,
             "the mixed-tag unit must be detected and rebuilt"
         );
-        assert_eq!(job.permutation(), oracle.permutation());
+        assert_eq!(job.permutation(), expect);
     }
 
     #[test]
-    fn auto_strategy_resolves_by_input_size() {
-        let small = ShardedSortJob::new(mixed_keys(500), 8);
-        assert_eq!(
-            small.partition_strategy(),
-            PartitionStrategy::Materialized,
-            "below IN_PLACE_AUTO_MIN Auto keeps the bucket intermediate"
-        );
-        let large = ShardedSortJob::new(mixed_keys(IN_PLACE_AUTO_MIN), 8);
-        assert_eq!(large.partition_strategy(), PartitionStrategy::InPlace);
-        large.run();
-        let mut expect: Vec<u64> = mixed_keys(IN_PLACE_AUTO_MIN);
-        expect.sort_unstable();
-        assert_eq!(large.into_sorted(), expect);
-    }
-
-    #[test]
-    fn aux_bytes_drop_to_the_offsets_table_in_place() {
-        let keys = mixed_keys(2000);
-        let mat = with_strategy(keys.clone(), PartitionStrategy::Materialized);
-        let inp = with_strategy(keys, PartitionStrategy::InPlace);
-        let table = (inp.partition_blocks() * inp.buckets()) as u64 * 8;
-        assert_eq!(inp.aux_bytes(), table, "in-place: offsets table only");
-        assert_eq!(
-            mat.aux_bytes(),
-            table + 2000 * 8,
-            "materialized adds the n-slot bucket intermediate"
-        );
-        inp.run();
-        let report = inp.shard_report();
-        assert_eq!(report.strategy, PartitionStrategy::InPlace);
+    fn aux_bytes_are_the_offsets_table_alone() {
+        let job = two_worker_job(mixed_keys(2000));
+        let table = (job.partition_blocks() * job.buckets()) as u64 * 8;
+        assert_eq!(job.aux_bytes(), table, "the B·P offsets table only");
+        job.run();
+        let report = job.shard_report();
         assert_eq!(report.aux_bytes, table);
-        assert!(
-            report.moves >= 2000,
-            "every element moves at least once through the fill"
+        let range_slots: usize = report
+            .buckets
+            .iter()
+            .filter(|b| !b.equality)
+            .map(|b| b.size)
+            .sum();
+        assert_eq!(
+            report.moves,
+            (2000 + range_slots) as u64,
+            "a crash-free lone worker fills every slot once and republishes each range slot once"
         );
     }
 }

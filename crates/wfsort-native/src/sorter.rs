@@ -21,9 +21,7 @@ use crate::arena::SortArena;
 use crate::fault::{ChaosParticipation, ChaosPlan, SharedBudget, WithDeadline};
 use crate::job::{recommended_grain, NativeAllocation, Participation, RunToCompletion, SortJob};
 use crate::metrics::{MetricSlot, ShardReport, SortReport};
-use crate::shard::{
-    recommended_shards, ClassifyKernel, PartitionStrategy, ShardConfig, ShardedSortJob,
-};
+use crate::shard::{recommended_shards, ShardConfig, ShardedSortJob};
 
 /// A multi-threaded wait-free sorter.
 ///
@@ -199,32 +197,6 @@ impl SortOptions {
     /// path.
     pub fn max_levels(mut self, levels: usize) -> Self {
         self.shard_config.max_levels = levels;
-        self
-    }
-
-    /// Selects the Partition phase's [`ClassifyKernel`]. The default
-    /// `Auto` resolves by splitter count at job construction (the
-    /// branchless ladder up to
-    /// [`LADDER_AUTO_MAX_SPLITTERS`](crate::LADDER_AUTO_MAX_SPLITTERS)
-    /// splitters, the scalar binary search past it). Both kernels
-    /// compute the identical permutation — this knob tunes throughput
-    /// only. Ignored by the single-tree path.
-    pub fn classify_kernel(mut self, kernel: ClassifyKernel) -> Self {
-        self.shard_config.classify_kernel = kernel;
-        self
-    }
-
-    /// Selects the Fill/shard pipeline's [`PartitionStrategy`]. The
-    /// default `Auto` resolves by input size at job construction
-    /// ([`PartitionStrategy::InPlace`] from
-    /// [`IN_PLACE_AUTO_MIN`](crate::IN_PLACE_AUTO_MIN) elements up,
-    /// where the `n·8`-byte bucket intermediate dominates memory
-    /// traffic; [`PartitionStrategy::Materialized`] below it). Both
-    /// strategies compute the identical permutation — this knob trades
-    /// auxiliary memory against republication work only. Ignored by the
-    /// single-tree path.
-    pub fn partition_strategy(mut self, strategy: PartitionStrategy) -> Self {
-        self.shard_config.partition_strategy = strategy;
         self
     }
 

@@ -77,6 +77,14 @@ pub fn reverse_sorted(n: usize) -> Vec<u64> {
     (0..n as u64).rev().collect()
 }
 
+/// `0, 1, …, ⌈n/2⌉-1, …, 1, 0`: an ascending run followed by its
+/// mirror — two monotone runs meeting at a peak, so both halves of the
+/// pivot-tree path case and every range bucket holding keys from both
+/// runs out of order.
+pub fn organ_pipe(n: usize) -> Vec<u64> {
+    (0..n).map(|i| i.min(n - 1 - i) as u64).collect()
+}
+
 /// `i % period`: the periodic shape that aliases with stride-positioned
 /// splitter samples (the E25/E26 worst case for sampling).
 pub fn sawtooth(n: usize, period: u64) -> Vec<u64> {
@@ -126,6 +134,7 @@ pub fn adversarial_suite(n: usize, seed: u64) -> Vec<(&'static str, Vec<u64>)> {
         ("zipf-1.0", zipf(n, 1024, seed ^ 2)),
         ("pre-sorted", presorted(n)),
         ("reverse-sorted", reverse_sorted(n)),
+        ("organ-pipe", organ_pipe(n)),
         ("sawtooth", sawtooth(n, 199)),
         ("runs-of-duplicates", runs_of_duplicates(n, 17, seed ^ 3)),
         ("few-distinct", few_distinct(n, 64, seed ^ 4)),
@@ -133,11 +142,12 @@ pub fn adversarial_suite(n: usize, seed: u64) -> Vec<(&'static str, Vec<u64>)> {
 }
 
 /// One shape of [`adversarial_suite`], chosen at random, at a random size
-/// in `sizes` and a random seed.
+/// in `sizes` and a random seed. Every shape of the suite can be drawn.
 pub fn random_shape(rng: &mut Prng, sizes: Range<usize>) -> (&'static str, Vec<u64>) {
-    let shape = rng.gen_range(0..9);
     let n = rng.gen_range(sizes);
-    adversarial_suite(n, rng.next_u64()).swap_remove(shape)
+    let mut suite = adversarial_suite(n, rng.next_u64());
+    let shape = rng.gen_range(0..suite.len());
+    suite.swap_remove(shape)
 }
 
 /// A vector of random length in `len` whose items `item` draws.
@@ -234,12 +244,29 @@ mod tests {
     }
 
     #[test]
+    fn organ_pipe_rises_then_falls() {
+        assert_eq!(organ_pipe(7), vec![0, 1, 2, 3, 2, 1, 0]);
+        assert_eq!(organ_pipe(6), vec![0, 1, 2, 2, 1, 0]);
+        assert_eq!(organ_pipe(1), vec![0]);
+        assert!(organ_pipe(0).is_empty());
+    }
+
+    #[test]
     fn random_shapes_come_from_the_battery() {
+        let names: Vec<&str> = adversarial_suite(2, 0).iter().map(|(n, _)| *n).collect();
+        let mut drawn = vec![false; names.len()];
         let mut rng = Prng::seed_from_u64(1);
-        for _ in 0..50 {
+        for _ in 0..200 {
             let (name, keys) = random_shape(&mut rng, 2..40);
             assert!((2..40).contains(&keys.len()));
-            assert!(adversarial_suite(2, 0).iter().any(|(n, _)| *n == name));
+            let at = names
+                .iter()
+                .position(|n| *n == name)
+                .expect("a battery shape");
+            drawn[at] = true;
         }
+        // The draw range follows the suite, so a newly added shape is
+        // drawn too.
+        assert!(drawn.iter().all(|&d| d), "undrawn shapes: {drawn:?}");
     }
 }

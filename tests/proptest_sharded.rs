@@ -8,24 +8,14 @@
 
 use wait_free_sort::testshapes::{self, for_each_case, vec_of};
 use wait_free_sort::wfsort_native::{
-    piece_by_search, NativeAllocation, PartitionStrategy, QuitAfter, ShardConfig, ShardedSortJob,
-    SortJob, SplitterLadder, WaitFreeSorter,
+    piece_by_search, NativeAllocation, QuitAfter, ShardConfig, ShardedSortJob, SortJob,
+    SplitterLadder, WaitFreeSorter,
 };
 
-/// Either partition strategy, drawn by a coin.
-fn strategy(in_place: bool) -> PartitionStrategy {
-    if in_place {
-        PartitionStrategy::InPlace
-    } else {
-        PartitionStrategy::Materialized
-    }
-}
-
 /// Every shape in the shared adversarial battery, under random shard
-/// counts, random (possibly degenerate) robustness knobs, and either
-/// partition strategy, still computes exactly the single-tree
-/// permutation — the knobs tune balance and memory traffic, never the
-/// output.
+/// counts and random (possibly degenerate) robustness knobs, still
+/// computes exactly the single-tree permutation — the knobs tune
+/// balance, never the output.
 #[test]
 fn adversarial_shapes_match_single_tree_under_any_config() {
     for_each_case(
@@ -37,7 +27,6 @@ fn adversarial_shapes_match_single_tree_under_any_config() {
             let factor = rng.gen_range(0usize..12);
             let tau_tenths = rng.gen_range(10u32..40);
             let levels = rng.gen_range(0usize..3);
-            let in_place = rng.gen_bool(0.5);
             let single = SortJob::new(keys.clone());
             single.run();
             let expect = single.permutation();
@@ -45,8 +34,6 @@ fn adversarial_shapes_match_single_tree_under_any_config() {
                 overpartition_factor: factor,
                 max_shard_imbalance: f64::from(tau_tenths) / 10.0,
                 max_levels: levels,
-                partition_strategy: strategy(in_place),
-                ..ShardConfig::default()
             };
             let job = ShardedSortJob::with_config(
                 keys,
@@ -113,30 +100,19 @@ fn randomized_sharded_permutation_matches_single_tree() {
 
 /// A quitter abandoning after a random number of checks leaves a state
 /// from which a late joiner recovers the exact single-tree permutation —
-/// the publish gates make half-done shards invisible, and under the
-/// in-place strategy the mixed-tag snapshot protocol makes
-/// half-published units rebuildable.
+/// the publish gates make half-done shards invisible, and the mixed-tag
+/// snapshot protocol makes half-published units rebuildable.
 #[test]
 fn abandoned_sharded_jobs_recover_exactly() {
     for_each_case("abandoned_sharded_jobs_recover_exactly", 48, |rng| {
         let keys = vec_of(rng, 2..200, |r| r.gen_range(0u64..32));
         let shards = rng.gen_range(1usize..24);
         let budget = rng.gen_range(1usize..500);
-        let in_place = rng.gen_bool(0.5);
         let single = SortJob::new(keys.clone());
         single.run();
         let expect = single.permutation();
 
-        let job = ShardedSortJob::with_config(
-            keys,
-            NativeAllocation::Deterministic,
-            2,
-            shards,
-            ShardConfig {
-                partition_strategy: strategy(in_place),
-                ..ShardConfig::default()
-            },
-        );
+        let job = ShardedSortJob::with_workers(keys, NativeAllocation::Deterministic, 2, shards);
         job.participate(&mut QuitAfter(budget));
         job.run();
         assert!(job.is_complete());

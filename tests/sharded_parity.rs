@@ -7,9 +7,12 @@
 //! [`SortJob`] computes — the fill phase preserves original-index order
 //! within each bucket, so the inner sorts' `(key, local index)`
 //! tie-breaks compose to the global `(key, index)` order. That lets
-//! these tests compare permutations element-for-element instead of
-//! settling for "both sorted", across shard counts, thread counts,
-//! allocation flavors, robustness configs, and the PR-1 chaos storms.
+//! these tests compare permutations element-for-element against the
+//! stable `(key, index)` oracle instead of settling for "both sorted",
+//! across shard counts, thread counts, allocation flavors, robustness
+//! configs, abandonment points, and chaos storms. Every job here runs
+//! the in-place exchange (the Fill stages bucket contents in the output
+//! permutation itself), so these are also its fault gates.
 //!
 //! Input shapes come from [`wait_free_sort::testshapes`], the shared
 //! adversarial battery (duplicate floods, Zipf skew, pre-sorted runs,
@@ -18,15 +21,10 @@
 
 use wait_free_sort::testshapes;
 use wait_free_sort::wfsort_native::{
-    recommended_shards, ChaosParticipation, ChaosPlan, ClassifyKernel, MetricSlot,
-    NativeAllocation, PartitionStrategy, QuitAfter, RunToCompletion, ShardConfig, ShardedSortJob,
-    SortJob, SortOptions, WaitFreeSorter,
+    piece_by_search, recommended_shards, ChaosParticipation, ChaosPlan, MetricSlot,
+    NativeAllocation, QuitAfter, RunToCompletion, ShardConfig, ShardedSortJob, SortJob,
+    SortOptions, SplitterLadder, WaitFreeSorter,
 };
-
-/// Both explicit classify kernels — every differential sweep that takes
-/// a config runs over this pair, so a ladder bug cannot hide behind the
-/// auto heuristic picking the binary search (or vice versa).
-const KERNELS: [ClassifyKernel; 2] = [ClassifyKernel::BinarySearch, ClassifyKernel::Ladder];
 
 const SHARD_SWEEP: [usize; 4] = [1, 2, 8, 64];
 
@@ -61,45 +59,92 @@ fn sharded_permutation_is_bit_identical_to_single_tree() {
     }
 }
 
-/// Both explicit classify kernels over the full adversarial battery:
-/// the kernel is a pure throughput knob, so the ladder's permutation
-/// must be bit-identical to the binary search's (and to the single
-/// tree's) on every shape and shard count — including the duplicate
-/// floods whose equality-bucket routing the ladder folds into its
-/// final rung compare.
+/// The two classify kernels over the full adversarial battery: the
+/// job's 8-lane [`SplitterLadder`] and the [`piece_by_search`] binary
+/// search it is pinned against must route every key to the same bucket
+/// over the exact splitter set the job sampled — including the
+/// duplicate floods whose equality-bucket routing the ladder folds into
+/// its final rung compare — and the job, sized for a one-worker cohort
+/// (large partition blocks, so the interleaved walk and its per-key
+/// tail both run), must still produce the stable permutation.
 #[test]
 fn both_kernels_are_bit_identical_across_the_adversarial_battery() {
     for (shape, keys) in testshapes::adversarial_suite(900, 26) {
         let expect = stable_permutation(&keys);
-        for kernel in KERNELS {
-            for shards in SHARD_SWEEP {
-                let job = ShardedSortJob::with_config(
-                    keys.clone(),
-                    NativeAllocation::Deterministic,
-                    1,
-                    shards,
-                    ShardConfig {
-                        classify_kernel: kernel,
-                        ..ShardConfig::default()
-                    },
-                );
-                job.run();
-                assert_eq!(
-                    job.permutation(),
-                    expect,
-                    "{shape}: {kernel:?} S={shards} diverged from the single tree"
-                );
-            }
+        for shards in SHARD_SWEEP {
+            let job = ShardedSortJob::with_workers(
+                keys.clone(),
+                NativeAllocation::Deterministic,
+                1,
+                shards,
+            );
+            assert_kernels_agree(job.splitters(), &keys, &format!("{shape}: S={shards}"));
+            job.run();
+            assert_eq!(
+                job.permutation(),
+                expect,
+                "{shape}: S={shards} pgrain={} diverged from the stable oracle",
+                job.partition_grain()
+            );
+        }
+    }
+}
+
+/// Classifies every key with the per-key ladder walk, the 8-lane walk
+/// and the binary-search reference over `splitters`, and requires all
+/// three to agree.
+fn assert_kernels_agree(splitters: &[u64], keys: &[u64], what: &str) {
+    let ladder = SplitterLadder::new(splitters);
+    for chunk in keys.chunks(8) {
+        let lanes: [&u64; 8] = std::array::from_fn(|l| &chunk[l.min(chunk.len() - 1)]);
+        let walked = ladder.piece_for_lanes(lanes);
+        for (l, key) in chunk.iter().enumerate() {
+            let reference = piece_by_search(splitters, key);
+            assert_eq!(ladder.piece_for(key), reference, "{what}: key {key}");
+            assert_eq!(walked[l], reference, "{what}: key {key} in an 8-lane walk");
+        }
+    }
+}
+
+/// The in-place exchange over the full adversarial battery, one worker
+/// with deterministic allocation: the permutation must equal the stable
+/// oracle on every shape and shard count — including the duplicate
+/// floods whose equality buckets the in-place fill publishes as final
+/// values without any shard-phase pass — while the only auxiliary
+/// allocation stays the `B·P·8`-byte offsets table and a crash-free run
+/// rebuilds no unit.
+#[test]
+fn in_place_strategy_is_bit_identical_across_the_adversarial_battery() {
+    for (shape, keys) in testshapes::adversarial_suite(900, 36) {
+        let expect = stable_permutation(&keys);
+        for shards in SHARD_SWEEP {
+            let job = ShardedSortJob::with_workers(
+                keys.clone(),
+                NativeAllocation::Deterministic,
+                1,
+                shards,
+            );
+            job.run();
+            assert_eq!(
+                job.permutation(),
+                expect,
+                "{shape}: in-place S={shards} diverged from the stable oracle"
+            );
+            let report = job.shard_report();
+            let table = (job.partition_blocks() * job.buckets()) as u64 * 8;
+            assert_eq!(report.aux_bytes, table, "{shape}: S={shards}");
+            assert_eq!(report.cycle_restarts, 0, "{shape}: S={shards}");
         }
     }
 }
 
 /// Four racing threads, both WAT flavors: races may reorder *who* does
-/// the work but never *what* gets written — the permutation is a pure
-/// function of the keys, so it must still match the single-tree one.
-/// The sweep includes the equality-bucket boundary shapes (all-equal,
-/// two-valued, runs-of-duplicates), so racing workers publish trivial
-/// fills and pivot-tree units side by side.
+/// the work but never *what* gets written — two claimants publishing
+/// the same unit concurrently write byte-identical final values, so the
+/// permutation is a pure function of the keys and must still match the
+/// single-tree one. The sweep includes the equality-bucket boundary
+/// shapes (all-equal, two-valued, runs-of-duplicates), so racing
+/// workers publish run units and pivot-tree units side by side.
 #[test]
 fn four_thread_sharded_runs_agree_with_single_tree() {
     for (shape, keys) in testshapes::adversarial_suite(2_000, 27) {
@@ -136,20 +181,16 @@ fn four_thread_runs_agree_across_robustness_configs() {
     let configs = [
         ShardConfig {
             overpartition_factor: 1,
-            classify_kernel: ClassifyKernel::Ladder,
             ..ShardConfig::default()
         },
         ShardConfig {
             max_shard_imbalance: 1.2,
-            classify_kernel: ClassifyKernel::BinarySearch,
             ..ShardConfig::default()
         },
         ShardConfig {
             overpartition_factor: 1,
             max_shard_imbalance: 1.2,
             max_levels: 2,
-            classify_kernel: ClassifyKernel::Ladder,
-            ..ShardConfig::default()
         },
     ];
     for (shape, keys) in [
@@ -186,10 +227,14 @@ fn four_thread_runs_agree_across_robustness_configs() {
     }
 }
 
-/// PR-1 chaos storms at shard granularity: seeded plans reap 75% of a
-/// 4-worker cohort at random checkpoints; the survivors (no caller
-/// fallback) must finish every phase and still produce the single-tree
-/// permutation. 25 seeds × 4 shard counts = 100 storms.
+/// Chaos storms at shard granularity: seeded plans reap 75% of a
+/// 4-worker cohort at random checkpoints, so crash points land inside
+/// fill CAS loops and mid-publication windows; the survivors (no caller
+/// fallback) must finish every phase, rebuild every torn unit, and
+/// still produce the single-tree permutation. The duplicate-flood
+/// shape routes most elements through equality buckets (final at
+/// fill), leaving the range units small and tearable. 25 seeds × 4
+/// shard counts = 100 storms.
 #[test]
 fn chaos_storms_preserve_parity_across_shard_counts() {
     let keys = testshapes::few_distinct(800, 64, 28); // hardest ties
@@ -234,15 +279,11 @@ fn chaos_storms_preserve_parity_on_robust_configs() {
             overpartition_factor: 1,
             max_shard_imbalance: 1.2,
             max_levels: 1,
-            classify_kernel: ClassifyKernel::Ladder,
-            ..ShardConfig::default()
         },
         ShardConfig {
             overpartition_factor: 2,
             max_shard_imbalance: 1.2,
             max_levels: 2,
-            classify_kernel: ClassifyKernel::BinarySearch,
-            ..ShardConfig::default()
         },
     ];
     for keys in [testshapes::all_equal(800), testshapes::two_valued(800, 29)] {
@@ -326,7 +367,6 @@ fn abandonment_inside_recursion_is_recoverable() {
         overpartition_factor: 1,
         max_shard_imbalance: 1.2,
         max_levels: 2,
-        ..ShardConfig::default()
     };
     for budget in (1..400).step_by(7) {
         let job = ShardedSortJob::with_config(
@@ -343,32 +383,25 @@ fn abandonment_inside_recursion_is_recoverable() {
     }
 }
 
-/// Abandonment sweep over both classify kernels: a quitter can die
-/// between the block-start item (which classified the whole block and
-/// published its histogram) and the block's trailing no-op items, and a
-/// late joiner redoing the block must rewrite byte-identical `piece_of`
-/// entries *and* byte-identical histogram counts — under either kernel.
+/// Abandonment sweep with the classify kernels cross-checked: a quitter
+/// can die between the block-start item (which classified the whole
+/// block with the ladder and published its histogram) and the block's
+/// trailing no-op items, and a late joiner redoing the block must
+/// rewrite byte-identical `piece_of` entries *and* byte-identical
+/// histogram counts. The ladder over the job's splitters must agree
+/// with the binary-search reference on every key, so the redone block
+/// routes exactly as [`piece_by_search`] would.
 #[test]
 fn abandonment_is_recoverable_under_both_kernels() {
     let keys = testshapes::runs_of_duplicates(400, 11, 34);
     let expect = stable_permutation(&keys);
-    for kernel in KERNELS {
-        for budget in (1..400).step_by(13) {
-            let job = ShardedSortJob::with_config(
-                keys.clone(),
-                NativeAllocation::Deterministic,
-                2,
-                8,
-                ShardConfig {
-                    classify_kernel: kernel,
-                    ..ShardConfig::default()
-                },
-            );
-            job.participate(&mut QuitAfter(budget));
-            job.run();
-            assert!(job.is_complete(), "{kernel:?} budget {budget}");
-            assert_eq!(job.permutation(), expect, "{kernel:?} budget {budget}");
-        }
+    for budget in (1..400).step_by(13) {
+        let job = ShardedSortJob::with_workers(keys.clone(), NativeAllocation::Deterministic, 2, 8);
+        assert_kernels_agree(job.splitters(), &keys, &format!("budget {budget}"));
+        job.participate(&mut QuitAfter(budget));
+        job.run();
+        assert!(job.is_complete(), "budget {budget}");
+        assert_eq!(job.permutation(), expect, "budget {budget}");
     }
 }
 
@@ -588,45 +621,14 @@ fn acceptance_shapes_at_one_million_meet_the_balance_bound() {
     }
 }
 
-/// The in-place Fill against its materialized differential oracle over
-/// the full adversarial battery: [`PartitionStrategy`] trades auxiliary
-/// memory against republication work, never an output byte, so the two
-/// permutations must be bit-identical on every shape and shard count —
-/// including the duplicate floods whose equality buckets the in-place
-/// fill publishes as final values without any shard-phase pass.
-#[test]
-fn in_place_strategy_is_bit_identical_across_the_adversarial_battery() {
-    for (shape, keys) in testshapes::adversarial_suite(900, 36) {
-        let expect = stable_permutation(&keys);
-        for shards in SHARD_SWEEP {
-            let job = ShardedSortJob::with_config(
-                keys.clone(),
-                NativeAllocation::Deterministic,
-                1,
-                shards,
-                ShardConfig {
-                    partition_strategy: PartitionStrategy::InPlace,
-                    ..ShardConfig::default()
-                },
-            );
-            job.run();
-            assert_eq!(
-                job.permutation(),
-                expect,
-                "{shape}: in-place S={shards} diverged from the stable oracle"
-            );
-        }
-    }
-}
-
 /// Red-first regression for ISSUE-10's in-place abandonment story: a
 /// worker crashed mid-cycle — mid-fill-block (half the unit's slots
 /// still empty), or mid-publication (mixed pending/final tags) — must
 /// leave a state from which survivors redo the block whole, with **no
 /// element duplicated and none dropped**. The permutation-is-a-bijection
 /// check is the direct no-dup/no-drop pin; the oracle equality pins the
-/// order on top. Swept over both WAT flavors × both classify kernels,
-/// with the quit budget walking through every phase.
+/// order on top. Swept over both WAT flavors, with the quit budget
+/// walking through every phase.
 ///
 /// Red-first: against a strawman in-place fill that used plain stores
 /// instead of CAS-from-empty, a preempted filler waking after survivors
@@ -640,40 +642,24 @@ fn in_place_abandonment_never_duplicates_or_drops_an_element() {
         NativeAllocation::Deterministic,
         NativeAllocation::Randomized,
     ] {
-        for kernel in KERNELS {
-            for budget in (1..400).step_by(13) {
-                let job = ShardedSortJob::with_config(
-                    keys.clone(),
-                    allocation,
-                    2,
-                    8,
-                    ShardConfig {
-                        partition_strategy: PartitionStrategy::InPlace,
-                        classify_kernel: kernel,
-                        ..ShardConfig::default()
-                    },
-                );
-                job.participate(&mut QuitAfter(budget));
-                job.run();
+        for budget in (1..400).step_by(13) {
+            let job = ShardedSortJob::with_workers(keys.clone(), allocation, 2, 8);
+            job.participate(&mut QuitAfter(budget));
+            job.run();
+            assert!(job.is_complete(), "{allocation:?} budget {budget}");
+            let perm = job.permutation();
+            let mut seen = vec![false; keys.len()];
+            for &v in &perm {
                 assert!(
-                    job.is_complete(),
-                    "{allocation:?} {kernel:?} budget {budget}"
+                    v >= 1 && v <= keys.len() && !seen[v - 1],
+                    "{allocation:?} budget {budget}: element {v} duplicated or out of range"
                 );
-                let perm = job.permutation();
-                let mut seen = vec![false; keys.len()];
-                for &v in &perm {
-                    assert!(
-                        v >= 1 && v <= keys.len() && !seen[v - 1],
-                        "{allocation:?} {kernel:?} budget {budget}: \
-                         element {v} duplicated or out of range"
-                    );
-                    seen[v - 1] = true;
-                }
-                assert_eq!(
-                    perm, expect,
-                    "{allocation:?} {kernel:?} budget {budget}: order diverged"
-                );
+                seen[v - 1] = true;
             }
+            assert_eq!(
+                perm, expect,
+                "{allocation:?} budget {budget}: order diverged"
+            );
         }
     }
 }
@@ -681,9 +667,10 @@ fn in_place_abandonment_never_duplicates_or_drops_an_element() {
 /// Chaos storms on the in-place path: seeded plans reap 75% of a
 /// 4-worker cohort at random checkpoints, so crash points land inside
 /// fill CAS loops and mid-publication windows; survivors must rebuild
-/// every torn unit and still produce the stable permutation. The
-/// duplicate-flood shape routes most elements through equality buckets
-/// (final at fill), leaving the range units small and tearable.
+/// every torn unit and still produce the stable permutation, with no
+/// element duplicated or dropped. The duplicate-flood shape routes most
+/// elements through equality buckets (final at fill), leaving the range
+/// units small and tearable.
 #[test]
 fn chaos_storms_preserve_parity_in_place() {
     let keys = testshapes::few_distinct(800, 64, 38);
@@ -692,15 +679,11 @@ fn chaos_storms_preserve_parity_in_place() {
         for seed in 0..15u64 {
             let plan = ChaosPlan::random_crashes(4, 0.75, 150, seed);
             assert!(plan.survivors() >= 1, "seed {seed}: no survivor");
-            let job = ShardedSortJob::with_config(
+            let job = ShardedSortJob::with_workers(
                 keys.clone(),
                 NativeAllocation::Deterministic,
                 plan.workers(),
                 shards,
-                ShardConfig {
-                    partition_strategy: PartitionStrategy::InPlace,
-                    ..ShardConfig::default()
-                },
             );
             std::thread::scope(|s| {
                 for w in 0..plan.workers() {
@@ -709,9 +692,17 @@ fn chaos_storms_preserve_parity_in_place() {
                 }
             });
             assert!(job.is_complete(), "S={shards} seed {seed}");
+            let perm = job.permutation();
+            let mut seen = vec![false; keys.len()];
+            for &v in &perm {
+                assert!(
+                    v >= 1 && v <= keys.len() && !seen[v - 1],
+                    "S={shards} seed {seed}: element {v} duplicated or out of range"
+                );
+                seen[v - 1] = true;
+            }
             assert_eq!(
-                job.permutation(),
-                expect,
+                perm, expect,
                 "S={shards} seed {seed}: storm changed the in-place permutation"
             );
         }
@@ -733,16 +724,7 @@ fn racing_threads_agree_in_place() {
             NativeAllocation::Deterministic,
             NativeAllocation::Randomized,
         ] {
-            let job = ShardedSortJob::with_config(
-                keys.clone(),
-                allocation,
-                4,
-                8,
-                ShardConfig {
-                    partition_strategy: PartitionStrategy::InPlace,
-                    ..ShardConfig::default()
-                },
-            );
+            let job = ShardedSortJob::with_workers(keys.clone(), allocation, 4, 8);
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     let job = &job;
@@ -754,6 +736,30 @@ fn racing_threads_agree_in_place() {
                 expect,
                 "{shape}: {allocation:?} diverged under 4 racing in-place threads"
             );
+        }
+    }
+}
+
+/// The in-place job at the sizes around its edges — two and three keys,
+/// inputs just under, at and just over the 64-element partition-block
+/// floor (one, one and two blocks), and a 16-block input — with one
+/// shard, two, and one per key: the
+/// permutation matches the stable oracle and the only auxiliary
+/// allocation is the `B·P·8`-byte destination-offset table.
+#[test]
+fn small_jobs_match_the_oracle_with_only_the_offsets_table() {
+    for n in [2usize, 3, 63, 64, 65, 1000] {
+        let keys = testshapes::few_distinct(n, 7, n as u64);
+        let expect = stable_permutation(&keys);
+        for shards in [1, 2, n] {
+            let job = ShardedSortJob::new(keys.clone(), shards);
+            let table = (job.partition_blocks() * job.buckets()) as u64 * 8;
+            assert_eq!(job.aux_bytes(), table, "n={n} S={shards}");
+            job.run();
+            assert_eq!(job.permutation(), expect, "n={n} S={shards}");
+            let report = job.shard_report();
+            assert_eq!(report.aux_bytes, table, "n={n} S={shards}");
+            assert_eq!(report.cycle_restarts, 0, "n={n} S={shards}");
         }
     }
 }

@@ -103,7 +103,6 @@ fn shard_robustness_knobs_flow_through_and_normalize() {
             overpartition_factor: 4,
             max_shard_imbalance: 1.5,
             max_levels: 2,
-            ..ShardConfig::default()
         }
     );
 
